@@ -23,8 +23,7 @@ suite can only sample but an AST walk can prove for every call site:
     every ``REPRO_*`` environment variable is declared once in
     :mod:`repro.envvars` and read only through it;
 ``cli-options``
-    shared command-line options are declared only in :mod:`repro.cli`
-    (the former ``tools/check_cli_options.py`` gate);
+    shared command-line options are declared only in :mod:`repro.cli`;
 ``facade-docstrings``
     every symbol re-exported by ``repro/__init__.py`` (the stable public
     API) resolves to a documented definition — functions, classes and

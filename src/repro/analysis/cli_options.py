@@ -1,10 +1,9 @@
 """``cli-options``: shared command-line flags live only in ``repro/cli.py``.
 
-The port of ``tools/check_cli_options.py`` (which now shims onto this
-module): the shared flag set used to be re-declared across the module CLIs
-with drifting defaults and help strings, so any ``add_argument`` call
-outside ``cli.py`` that re-declares one of ``SHARED_OPTION_STRINGS`` is a
-finding — CLIs pick shared flags with ``repro.cli.add_options`` instead.
+The shared flag set used to be re-declared across the module CLIs with
+drifting defaults and help strings, so any ``add_argument`` call outside
+``cli.py`` that re-declares one of ``SHARED_OPTION_STRINGS`` is a finding —
+CLIs pick shared flags with ``repro.cli.add_options`` instead.
 
 The banned strings are read from ``cli.py``'s AST rather than imported, so
 the checker needs no importable package and works on fixture trees.
@@ -38,8 +37,7 @@ def _shared_option_strings(tree: ast.Module) -> Set[str]:
 def find_duplicates(package_root: Path) -> List[Tuple[Path, int, str]]:
     """(path, line, option) triples for every banned re-declaration.
 
-    The structured result the ``tools/check_cli_options.py`` shim renders;
-    the checker wraps the same triples as findings.
+    The checker wraps these triples as findings; tests call this directly.
     """
     cli_path = package_root / CLI_MODULE
     if not cli_path.is_file():

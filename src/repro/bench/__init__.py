@@ -1,26 +1,31 @@
-"""Micro-benchmark harness: optimized hot loops vs. the frozen PR-1 engine.
+"""Micro-benchmark harness: optimized hot loops vs. the reference loop.
+
+The baseline of every ``speedup`` here is the generic round-robin loop
+(:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`), the loop
+that defines the simulation semantics, run through the ordinary engine by
+a bench-local :class:`~repro.sim.backends.Backend` instance.
 
 Two benchmarks, each emitting one ``BENCH_*.json`` file so performance
 becomes part of the repo's recorded trajectory:
 
 * ``experiment`` — wall clock of the default ``--system scaled --check``
-  experiment, serial, on the frozen PR-1 implementation
-  (:mod:`repro.sim._legacy`) versus the optimized cell-based driver, plus a
-  warm-trace-cache run.  The JSON records the speedups and asserts the two
-  implementations produced identical reports and that the paper ordering
-  holds.
+  experiment, serial, on the reference loop versus the optimized python
+  backend, plus a warm-trace-cache run.  The JSON records the speedups and
+  asserts the two runs produced identical reports and that the paper
+  ordering holds.
 * ``hotloop`` — per-engine simulation time (none / next-line / PIF / SHIFT)
-  on a single workload trace: legacy versus optimized Python loops, and
-  ``python`` versus ``numpy`` backend (warm-cache, best-of-repeats),
-  isolating the :mod:`repro.sim._fastpath` / :mod:`repro.sim.backends`
-  gains from trace generation and driver overhead.  The result also
-  carries a ``trace_generation`` section (cold vectorized generation vs
-  warm memory-mapped cache loads per suite entry, plus the v2-pickle
-  old-vs-new load ratio), so trace production is part of the same
-  regression wall as replay, and a ``trace_scale`` section (peak chunked
-  simulation memory on 10x vs 100x traces plus exact chunked-vs-monolithic
-  report equality), so the out-of-core chunked-streaming bound of
-  ARCHITECTURE.md is part of it too.
+  on a single workload trace: reference loop versus optimized Python
+  loops, and ``python`` versus ``numpy`` backend (warm-cache,
+  best-of-repeats), isolating the :mod:`repro.sim._fastpath` /
+  :mod:`repro.sim.backends` gains from trace generation and driver
+  overhead.  The result also carries a ``trace_generation`` section
+  (cold vectorized generation vs warm memory-mapped cache loads per
+  suite entry, plus the v2-pickle old-vs-new load ratio), so trace
+  production is part of the same regression wall as replay, and a
+  ``trace_scale`` section (peak chunked simulation memory on 10x vs 100x
+  traces plus exact chunked-vs-monolithic report equality), so the
+  out-of-core chunked-streaming bound of ARCHITECTURE.md is part of it
+  too.
 
 :func:`check_against` is the CI bench-regression gate: it compares a fresh
 hotloop run's *speedup ratios* against the committed ``BENCH_hotloop.json``
@@ -37,18 +42,13 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..config import scaled_pif_config, scaled_shift_config
-from ..experiments import (
-    DEFAULT_ENGINES,
-    ExperimentReport,
-    ExperimentRow,
-    run_experiment,
-)
-from ..experiments import _outcome_for  # shared so reports are comparable
+from ..experiments import ExperimentReport, run_experiment
 from ..experiments.cells import system_for
-from ..sim import _legacy
+from ..sim import SimulationEngine
+from ..sim.backends import Backend
 from ..workloads.generator import generate_traces
 from ..workloads.suite import WORKLOAD_NAMES, scaled_workload, workload_by_name
 
@@ -61,70 +61,18 @@ QUICK_BLOCKS = 3000
 BENCHMARK_NAMES = ("experiment", "hotloop")
 
 
-def _legacy_experiment(
-    workloads: Sequence[str],
-    system: str = "scaled",
-    scale: int = 16,
-    seed: int = 0,
-    blocks_per_core: Optional[int] = None,
-) -> ExperimentReport:
-    """The PR-1 serial experiment: shared trace per workload, legacy loops."""
-    sys_config = system_for(system, scale)
-    effective_scale = sys_config.scale
-    pif_config = scaled_pif_config(effective_scale)
-    shift_config = scaled_shift_config(effective_scale)
-    report = ExperimentReport(system_name=system)
-    for name in workloads:
-        spec = scaled_workload(workload_by_name(name), effective_scale)
-        trace_set = generate_traces(spec, sys_config, seed=seed, blocks_per_core=blocks_per_core)
-        results = {}
-        for engine in DEFAULT_ENGINES:
-            kwargs = (
-                {"pif_config": pif_config}
-                if engine == "pif"
-                else {"shift_config": shift_config}
-                if engine == "shift"
-                else {}
-            )
-            results[engine] = _legacy.legacy_simulate(trace_set, sys_config, engine, **kwargs)
-        baseline = results["none"]
-        row = ExperimentRow(
-            workload=name,
-            baseline_mpki=baseline.mpki,
-            baseline_miss_ratio=baseline.miss_ratio,
-        )
-        for engine, result in results.items():
-            if engine == "none":
-                continue
-            row.outcomes[engine] = _outcome_for(engine, result, baseline, sys_config)
-        report.rows.append(row)
-    return report
+class _ReferenceBackend(Backend):
+    """The generic round-robin loop as a backend: every speedup's baseline.
 
-
-def _llc_independent_rows(report: ExperimentReport) -> List[Dict[str, object]]:
-    """Rows projected onto the metrics the frozen PR-1 engine can produce.
-
-    The PR-1 reference predates the shared-LLC model, so speedups (which now
-    charge classified memory misses and real history reads) and the LLC /
-    storage fields are not comparable; the miss-level counters — coverage,
-    MPKI, accuracy — must still match exactly.
+    Passed to the engine as an instance, so it has no registry name and
+    cannot be selected from a CLI or the environment.
     """
-    return [
-        {
-            "workload": row.workload,
-            "baseline_mpki": row.baseline_mpki,
-            "baseline_miss_ratio": row.baseline_miss_ratio,
-            "outcomes": {
-                name: {
-                    "coverage": outcome.coverage,
-                    "mpki": outcome.mpki,
-                    "prefetch_accuracy": outcome.prefetch_accuracy,
-                }
-                for name, outcome in row.outcomes.items()
-            },
-        }
-        for row in report.rows
-    ]
+
+    def run(self, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
+        SimulationEngine._run_round_robin(lanes, inflight, prefetcher, llc)
+
+
+_REFERENCE_BACKEND = _ReferenceBackend()
 
 
 def bench_experiment(
@@ -133,60 +81,53 @@ def bench_experiment(
     repeats: int = 1,
     trace_cache: "str | Path | None" = None,
 ) -> Dict[str, object]:
-    """Time the default scaled experiment: PR-1 legacy vs. optimized."""
+    """Time the default scaled experiment: reference loop vs. optimized."""
     workloads = list(QUICK_WORKLOADS if quick else WORKLOAD_NAMES)
     blocks = QUICK_BLOCKS if quick else None
 
-    legacy_seconds = []
-    legacy_report: Optional[ExperimentReport] = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        legacy_report = _legacy_experiment(workloads, seed=seed, blocks_per_core=blocks)
-        legacy_seconds.append(time.perf_counter() - started)
-
     # The in-process trace memo would otherwise carry traces between
     # repeats (and masquerade as the disk cache), so clear it before every
-    # timed run: each optimized repeat regenerates traces exactly like the
-    # legacy baseline, and the warm-cache variant really reads from disk.
+    # timed run: each repeat regenerates its traces, and the warm-cache
+    # variant really reads from disk.
     from ..experiments import cells as _cells
 
-    optimized_seconds = []
-    optimized_report: Optional[ExperimentReport] = None
-    for _ in range(repeats):
-        _cells._TRACE_MEMO.clear()
-        started = time.perf_counter()
-        optimized_report = run_experiment(
-            workloads=workloads, seed=seed, blocks_per_core=blocks
-        )
-        optimized_seconds.append(time.perf_counter() - started)
+    def timed_runs(backend, **kwargs):
+        seconds: List[float] = []
+        report: Optional[ExperimentReport] = None
+        for _ in range(repeats):
+            _cells._TRACE_MEMO.clear()
+            started = time.perf_counter()
+            report = run_experiment(
+                workloads=workloads,
+                seed=seed,
+                blocks_per_core=blocks,
+                backend=backend,
+                **kwargs,
+            )
+            seconds.append(time.perf_counter() - started)
+        assert report is not None
+        return min(seconds), report
 
-    cached_seconds: List[float] = []
+    best_reference, reference_report = timed_runs(_REFERENCE_BACKEND)
+    best_optimized, optimized_report = timed_runs("python")
+    best_cached = None
     if trace_cache is not None:
         # Populate, then time the warm-cache run (the steady state of
         # sweeps and repeated --check invocations).
         run_experiment(
-            workloads=workloads, seed=seed, blocks_per_core=blocks, trace_cache=trace_cache
+            workloads=workloads,
+            seed=seed,
+            blocks_per_core=blocks,
+            backend="python",
+            trace_cache=trace_cache,
         )
-        for _ in range(repeats):
-            _cells._TRACE_MEMO.clear()
-            started = time.perf_counter()
-            run_experiment(
-                workloads=workloads,
-                seed=seed,
-                blocks_per_core=blocks,
-                trace_cache=trace_cache,
-            )
-            cached_seconds.append(time.perf_counter() - started)
+        best_cached, _report = timed_runs("python", trace_cache=trace_cache)
 
-    assert legacy_report is not None and optimized_report is not None
-    legacy_rows = _llc_independent_rows(legacy_report)
-    optimized_rows = _llc_independent_rows(optimized_report)
-    best_legacy = min(legacy_seconds)
-    best_optimized = min(optimized_seconds)
     result: Dict[str, object] = {
         "benchmark": "experiment",
         "description": "default `python -m repro.experiments --system scaled --check` "
-        "workload, serial: frozen PR-1 engine vs optimized cell driver",
+        "workload, serial: generic round-robin reference loop vs optimized "
+        "python backend, whole reports compared",
         "config": {
             "workloads": workloads,
             "seed": seed,
@@ -194,23 +135,18 @@ def bench_experiment(
             "quick": quick,
             "repeats": repeats,
         },
-        "baseline": {"name": "pr1-serial-legacy", "seconds": round(best_legacy, 4)},
+        "baseline": {"name": "reference-loop", "seconds": round(best_reference, 4)},
         "optimized": {"name": "cell-driver-fastpath", "seconds": round(best_optimized, 4)},
-        "speedup": round(best_legacy / best_optimized, 3),
-        # Miss-level counters (coverage/MPKI/accuracy) must be identical;
-        # the optimized driver additionally models the shared LLC, which
-        # the frozen PR-1 engine cannot, so timing fields are not compared.
-        "results_match": legacy_rows == optimized_rows,
-        "compared_fields": ["coverage", "mpki", "prefetch_accuracy"],
+        "speedup": round(best_reference / best_optimized, 3),
+        "results_match": reference_report.to_dict() == optimized_report.to_dict(),
         "paper_ordering_holds": not optimized_report.check_paper_ordering(),
     }
-    if cached_seconds:
-        best_cached = min(cached_seconds)
+    if best_cached is not None:
         result["optimized_trace_cache"] = {
             "name": "cell-driver-fastpath+trace-cache",
             "seconds": round(best_cached, 4),
         }
-        result["speedup_trace_cache"] = round(best_legacy / best_cached, 3)
+        result["speedup_trace_cache"] = round(best_reference / best_cached, 3)
     return result
 
 
@@ -448,8 +384,8 @@ def _bench_trace_scale(
 def bench_hotloop(
     quick: bool = False, seed: int = 0, repeats: int = 3, workload: str = "oltp_db2"
 ) -> Dict[str, object]:
-    """Per-engine simulation time on one trace: legacy vs. optimized loops,
-    plus the numpy-vs-python backend comparison.
+    """Per-engine simulation time on one trace: reference vs. optimized
+    loops, plus the numpy-vs-python backend comparison.
 
     Backend timings are best-of-``repeats``: with ``repeats >= 2`` the
     numpy numbers are *warm-cache* throughput — the backend's trace-pure
@@ -473,7 +409,7 @@ def bench_hotloop(
         "shift": {"shift_config": shift_config},
     }
     engines: Dict[str, object] = {}
-    total_legacy = 0.0
+    total_reference = 0.0
     total_optimized = 0.0
     from dataclasses import asdict
     from functools import partial
@@ -484,8 +420,12 @@ def bench_hotloop(
     backends_match = True
     total_numpy = 0.0
     for engine, kwargs in engine_kwargs.items():
-        legacy_best = min(
-            _timed(partial(_legacy.legacy_simulate, trace_set, sys_config, engine, **kwargs))
+        reference_best = min(
+            _timed(
+                partial(
+                    simulate, trace_set, sys_config, engine, backend=_REFERENCE_BACKEND, **kwargs
+                )
+            )
             for _ in range(repeats)
         )
         python_runs = [
@@ -495,12 +435,12 @@ def bench_hotloop(
             for _ in range(repeats)
         ]
         optimized_best = min(seconds for seconds, _result in python_runs)
-        total_legacy += legacy_best
+        total_reference += reference_best
         total_optimized += optimized_best
         engines[engine] = {
-            "legacy_seconds": round(legacy_best, 4),
+            "reference_seconds": round(reference_best, 4),
             "optimized_seconds": round(optimized_best, 4),
-            "speedup": round(legacy_best / optimized_best, 3),
+            "speedup": round(reference_best / optimized_best, 3),
         }
         if numpy_available:
             # Warm numpy runs are 10-100x shorter than the python loops
@@ -527,9 +467,9 @@ def bench_hotloop(
                 backends_match = False
     result: Dict[str, object] = {
         "benchmark": "hotloop",
-        "description": "per-engine simulation of one workload trace: frozen PR-1 "
-        "loops vs repro.sim._fastpath (which additionally models the shared LLC), "
-        "and python vs numpy backend (warm-cache, best-of-repeats)",
+        "description": "per-engine simulation of one workload trace: generic "
+        "round-robin reference loop vs repro.sim._fastpath, and python vs numpy "
+        "backend (warm-cache memo replays, best-of-repeats)",
         "config": {
             "workload": workload,
             "seed": seed,
@@ -539,7 +479,7 @@ def bench_hotloop(
             "repeats": repeats,
         },
         "engines": engines,
-        "total_speedup": round(total_legacy / total_optimized, 3),
+        "total_speedup": round(total_reference / total_optimized, 3),
         "backend": {
             "numpy_available": numpy_available,
         },
@@ -620,15 +560,15 @@ def check_against(
     """Compare a fresh benchmark result against a committed baseline.
 
     Returns a list of regressions (empty = gate passes).  The gate
-    compares *speedup ratios* — the aggregate legacy-vs-optimized ratio
-    and the per-engine warm-cache numpy-vs-python ratios — rather than
+    compares *speedup ratios* — the aggregate reference-loop-vs-optimized
+    ratio and the per-engine warm-cache numpy-vs-python ratios — rather than
     absolute seconds, so it is portable across machines: a ratio that
     drops more than ``tolerance`` below the committed value means the
     optimized path (or the numpy backend) lost ground relative to the
     same-machine reference it is measured against.  Ratios that do not
     measure a real speedup are excluded as pure timing noise: per-engine
-    legacy-vs-optimized ratios hover near 1.0 (only their aggregate is
-    gated) and numpy ratios of Python-fallback engines sit below
+    reference-vs-optimized ratios are not gated (only their aggregate is)
+    and numpy ratios of Python-fallback engines sit below
     :data:`_GATE_MIN_BASELINE_SPEEDUP` in the baseline.  Engines listed
     in :data:`_GATE_ENGINE_MIN_SPEEDUP` additionally carry an *absolute*
     warm-speedup floor (SHIFT: 8x) that holds regardless of the committed

@@ -21,9 +21,9 @@ from . import (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark the optimized simulation against the frozen "
-        "PR-1 engine (and the numpy backend against the python one), record "
-        "BENCH_*.json trajectory files, and optionally gate against a "
+        description="Benchmark the optimized simulation against the generic "
+        "round-robin reference loop (and the numpy backend against the python "
+        "one), record BENCH_*.json trajectory files, and optionally gate against a "
         "committed baseline.  With --trace-cache the experiment benchmark "
         "additionally times a warm-cache pass.  The hotloop benchmark's "
         "trace_scale section measures chunked streaming (--chunk-blocks) "
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
                 trace_cache=args.trace_cache,
             )
             headline = (
-                f"experiment: {result['baseline']['seconds']}s legacy -> "
+                f"experiment: {result['baseline']['seconds']}s reference loop -> "
                 f"{result['optimized']['seconds']}s optimized "
                 f"({result['speedup']}x), results_match={result['results_match']}"
             )

@@ -7,9 +7,9 @@ with drifting defaults, spellings (``--cores`` vs ``--num-cores``) and help
 strings.  Each shared flag is now defined exactly once in
 :data:`SHARED_OPTIONS`; a CLI picks the subset it needs with
 :func:`add_options`.  Module-specific flags (``--axis``, ``--check``,
-``--quick``, ...) stay in their own ``__main__`` — the lint gate
-(``tools/check_cli_options.py``, run in CI) only bans re-declaring the
-*shared* option strings outside this module.
+``--quick``, ...) stay in their own ``__main__`` — the ``cli-options``
+checker of ``python -m repro.analysis`` (run in CI) only bans re-declaring
+the *shared* option strings outside this module.
 
 ``--cores`` and ``--num-cores`` are aliases of one destination, so both
 historical spellings keep working on every CLI.
@@ -172,8 +172,9 @@ SHARED_OPTIONS: Dict[str, Callable[[argparse.ArgumentParser], None]] = {
     "result-cache": _add_result_cache,
 }
 
-#: The option strings the shared registry owns.  ``tools/check_cli_options.py``
-#: fails the lint gate when any of these is re-declared outside this module.
+#: The option strings the shared registry owns.  The ``cli-options``
+#: analysis checker fails CI when any of these is re-declared outside this
+#: module.
 SHARED_OPTION_STRINGS = frozenset(
     {
         "--system",

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..sim import SimulationResult
+from ..sim import Backend, SimulationResult
 from ..sim.timing import weighted_speedup
 from ..workloads.suite import WORKLOAD_NAMES
 from .cells import CellSpec, execute_cells, system_for
@@ -300,7 +300,7 @@ def run_experiment(
     llc_kb_per_core: Optional[int] = None,
     workers: Optional[int] = None,
     trace_cache: "str | Path | None" = None,
-    backend: Optional[str] = None,
+    backend: "str | Backend | None" = None,
     chunk_blocks: Optional[int] = None,
     result_cache: "str | Path | object | None" = None,
 ) -> ExperimentReport:
@@ -316,8 +316,9 @@ def run_experiment(
     fans the (workload, engine) cells out over a process pool;
     ``trace_cache`` names a directory where generated traces are shared
     between engines, processes and runs.  ``backend`` selects the
-    simulation backend (``python`` / ``numpy``; default ``REPRO_BACKEND``
-    or ``python``).  ``result_cache`` (a directory or a
+    simulation backend (``python`` / ``numpy`` or a
+    :class:`~repro.sim.backends.Backend` instance; default
+    ``REPRO_BACKEND`` or ``python``).  ``result_cache`` (a directory or a
     :class:`~repro.results.ResultCache`) skips simulation entirely for
     cells whose content-addressed result is already stored; the traffic
     counts land in :attr:`ExperimentReport.result_cache_stats`.

@@ -37,7 +37,7 @@ from ..config import (
     scaled_system,
 )
 from ..errors import ConfigurationError
-from ..sim import SimulationResult, simulate
+from ..sim import Backend, SimulationResult, simulate
 from ..workloads.consolidation import ConsolidationMix, generate_consolidated_traces
 from ..workloads.generator import generate_traces
 from ..workloads.suite import scaled_workload, workload_by_name
@@ -73,11 +73,11 @@ class CellSpec:
     consolidation: Tuple[str, ...] = ()
     #: Paper-scale LLC slice size override (None = 512 KB per core).
     llc_bytes_per_core: Optional[int] = None
-    #: Simulation backend name (None = ``REPRO_BACKEND`` or ``python``).
-    #: Execution strategy only — results are byte-identical across backends,
-    #: so the backend is deliberately *not* part of report params or trace
-    #: cache keys.
-    backend: Optional[str] = None
+    #: Simulation backend name or instance (None = ``REPRO_BACKEND`` or
+    #: ``python``).  Execution strategy only — results are byte-identical
+    #: across backends, so the backend is deliberately *not* part of report
+    #: params or trace cache keys.
+    backend: "str | Backend | None" = None
     #: Chunked-streaming window in blocks (None = monolithic).  Reports are
     #: byte-identical for every chunk geometry; the window still joins the
     #: result-cache key (it selects a different execution path, and the

@@ -32,11 +32,10 @@ reordering argument for those structures still holds.  The SHIFT lanes
 already run round-robin and access the LLC inline.
 
 Every loop is behaviour-pinned to the public-API implementations: the
-regression tests assert exact equality of all per-core counters against both
-the generic loop and the frozen PR-1 reference in :mod:`repro.sim._legacy`
-(which predates the LLC model, so the two classification counters are pinned
-against the generic loop instead).  Any semantic change here that is not
-mirrored there is a bug.
+regression tests assert exact equality of all per-core counters and the
+LLC statistics against the generic round-robin loop
+(:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`).  Any
+semantic change here that is not mirrored there is a bug.
 
 These loops are the ``python`` backend of :mod:`repro.sim.backends` — the
 reference implementation every other backend (e.g. the vectorized
@@ -87,7 +86,7 @@ def address_list(addresses) -> List[int]:
 
 
 def _replay_llc(
-    llc: "SharedLLC | None",
+    llc: "SharedLLC",
     per_lane: List[Tuple["CoreResult", List[LLCEvent]]],
 ) -> None:
     """Replay recorded LLC requests in the generic loop's round-robin order.
@@ -100,8 +99,6 @@ def _replay_llc(
     underscore attributes (``SharedLLC.access_demand`` / ``access_prefetch``
     semantics), like every other fast path.
     """
-    if llc is None:
-        return
     sets = llc._sets
     num_sets = llc._num_sets
     avail = llc._avail
@@ -154,7 +151,7 @@ def _replay_llc(
     llc.prefetch_misses += prefetch_misses
 
 
-def run_baseline(lanes: List[Lane], llc: "SharedLLC | None" = None) -> None:
+def run_baseline(lanes: List[Lane], llc: "SharedLLC") -> None:
     """No-prefetch loop: every access is a demand hit or a demand miss."""
     per_lane: List[Tuple["CoreResult", List[LLCEvent]]] = []
     for _core_id, addresses, cache, _buffer, stats in lanes:
@@ -164,7 +161,6 @@ def run_baseline(lanes: List[Lane], llc: "SharedLLC | None" = None) -> None:
         assoc = cache._associativity
         events: List[LLCEvent] = []
         record = events.append
-        track_llc = llc is not None
         demand_hits = 0
         misses = 0
         step = 0
@@ -177,8 +173,7 @@ def run_baseline(lanes: List[Lane], llc: "SharedLLC | None" = None) -> None:
                 demand_hits += 1
             else:
                 misses += 1
-                if track_llc:
-                    record((step, address, True))
+                record((step, address, True))
                 lines.insert(0, address)
                 if len(lines) > assoc:
                     lines.pop()
@@ -193,7 +188,7 @@ def run_next_line(
     lanes: List[Lane],
     inflight: Dict[int, int],
     degree: int,
-    llc: "SharedLLC | None" = None,
+    llc: "SharedLLC",
 ) -> None:
     """Tagged next-N-line loop: issue on every miss and prefetch-buffer hit."""
     per_lane: List[Tuple["CoreResult", List[LLCEvent]]] = []
@@ -210,7 +205,6 @@ def run_next_line(
         inflight_c = inflight[core_id]
         events: List[LLCEvent] = []
         record = events.append
-        track_llc = llc is not None
         demand_hits = prefetch_hits = late_hits = misses = 0
         issued = evicted = 0
         step = 0
@@ -231,8 +225,7 @@ def run_next_line(
                         late_hits += 1
                 else:
                     misses += 1
-                    if track_llc:
-                        record((step, address, True))
+                    record((step, address, True))
                 lines.insert(0, address)
                 if len(lines) > assoc:
                     lines.pop()
@@ -241,8 +234,7 @@ def run_next_line(
                         bmap[block] = step
                         blen += 1
                         issued += 1
-                        if track_llc:
-                            record((step, block, False))
+                        record((step, block, False))
                         if blen > bcap:
                             bpopitem(last=False)
                             blen -= 1
@@ -262,7 +254,7 @@ def run_stream_per_core(
     lanes: List[Lane],
     inflight: Dict[int, int],
     prefetcher: PIFPrefetcher,
-    llc: "SharedLLC | None" = None,
+    llc: "SharedLLC",
 ) -> None:
     """PIF loop: private compactor/history/index/streams, fully inlined."""
     config = prefetcher._config
@@ -304,7 +296,6 @@ def run_stream_per_core(
         mask = compactor._mask
         events: List[LLCEvent] = []
         record_llc = events.append
-        track_llc = llc is not None
         demand_hits = prefetch_hits = late_hits = misses = 0
         issued = evicted = 0
         step = 0
@@ -352,8 +343,7 @@ def run_stream_per_core(
                 else:
                     misses += 1
                     is_miss = True
-                    if track_llc:
-                        record_llc((step, address, True))
+                    record_llc((step, address, True))
                 lines.insert(0, address)
                 if len(lines) > assoc:
                     lines.pop()
@@ -400,8 +390,7 @@ def run_stream_per_core(
                                 bmap[block] = step
                                 blen += 1
                                 issued += 1
-                                if track_llc:
-                                    record_llc((step, block, False))
+                                record_llc((step, block, False))
                                 if blen > bcap:
                                     bpopitem(last=False)
                                     blen -= 1
@@ -430,8 +419,7 @@ def run_stream_per_core(
                                         bmap[rec_trigger] = step
                                         blen += 1
                                         issued += 1
-                                        if track_llc:
-                                            record_llc((step, rec_trigger, False))
+                                        record_llc((step, rec_trigger, False))
                                         if blen > bcap:
                                             bpopitem(last=False)
                                             blen -= 1
@@ -448,8 +436,7 @@ def run_stream_per_core(
                                             bmap[block] = step
                                             blen += 1
                                             issued += 1
-                                            if track_llc:
-                                                record_llc((step, block, False))
+                                            record_llc((step, block, False))
                                             if blen > bcap:
                                                 bpopitem(last=False)
                                                 blen -= 1
@@ -475,13 +462,13 @@ def _passive_lane(
     addresses: List[int],
     cache: SetAssociativeCache,
     stats: "CoreResult",
-    llc: "SharedLLC | None" = None,
+    llc: "SharedLLC",
 ) -> Iterator[None]:
     """A lane with no stream engine (a core outside every SHIFT group)."""
     sets = cache._sets
     num_sets = cache._num_sets
     assoc = cache._associativity
-    llc_demand = llc.access_demand if llc is not None else None
+    llc_demand = llc.access_demand
     demand_hits = 0
     misses = 0
     llc_hits = memory_misses = 0
@@ -494,11 +481,10 @@ def _passive_lane(
             demand_hits += 1
         else:
             misses += 1
-            if llc_demand is not None:
-                if llc_demand(address):
-                    llc_hits += 1
-                else:
-                    memory_misses += 1
+            if llc_demand(address):
+                llc_hits += 1
+            else:
+                memory_misses += 1
             lines.insert(0, address)
             if len(lines) > assoc:
                 lines.pop()
@@ -525,7 +511,7 @@ def _stream_lane(
     outstanding_cap: int,
     records_per_llc_block: int,
     inflight_c: int,
-    llc: "SharedLLC | None" = None,
+    llc: "SharedLLC",
 ) -> Iterator[None]:
     """One core of a shared-history engine, resumed round-robin per access.
 
@@ -536,8 +522,8 @@ def _stream_lane(
     order that defines the LLC's semantics.
     """
     offsets_table = _expand_offsets(region_blocks)
-    llc_demand = llc.access_demand if llc is not None else None
-    llc_prefetch = llc.access_prefetch if llc is not None else None
+    llc_demand = llc.access_demand
+    llc_prefetch = llc.access_prefetch
     records = history._records
     hist_cap = history._capacity
     index_entries = index._entries
@@ -608,11 +594,10 @@ def _stream_lane(
             else:
                 misses += 1
                 is_miss = True
-                if llc_demand is not None:
-                    if llc_demand(address):
-                        llc_hits += 1
-                    else:
-                        memory_misses += 1
+                if llc_demand(address):
+                    llc_hits += 1
+                else:
+                    memory_misses += 1
             lines.insert(0, address)
             if len(lines) > assoc:
                 lines.pop()
@@ -666,8 +651,7 @@ def _stream_lane(
                                 bmap[block] = step
                                 blen += 1
                                 issued += 1
-                                if llc_prefetch is not None:
-                                    llc_prefetch(block)
+                                llc_prefetch(block)
                                 if blen > bcap:
                                     bpopitem(last=False)
                                     blen -= 1
@@ -702,8 +686,7 @@ def _stream_lane(
                                     bmap[rec_trigger] = step
                                     blen += 1
                                     issued += 1
-                                    if llc_prefetch is not None:
-                                        llc_prefetch(rec_trigger)
+                                    llc_prefetch(rec_trigger)
                                     if blen > bcap:
                                         bpopitem(last=False)
                                         blen -= 1
@@ -720,8 +703,7 @@ def _stream_lane(
                                         bmap[block] = step
                                         blen += 1
                                         issued += 1
-                                        if llc_prefetch is not None:
-                                            llc_prefetch(block)
+                                        llc_prefetch(block)
                                         if blen > bcap:
                                             bpopitem(last=False)
                                             blen -= 1
@@ -777,7 +759,7 @@ def run_stream_shared(
     lanes: List[Lane],
     inflight: Dict[int, int],
     prefetcher: "SHIFTPrefetcher | ConsolidatedSHIFTPrefetcher",
-    llc: "SharedLLC | None" = None,
+    llc: "SharedLLC",
 ) -> None:
     """SHIFT loop: lanes advance round-robin, one access per core per step."""
     config = prefetcher._config
@@ -843,83 +825,10 @@ def run_stream_shared(
         active = alive
 
 
-def run_per_core_generic(
-    lanes: List[Lane], inflight: Dict[int, int], prefetcher, llc: "SharedLLC | None" = None
-) -> None:
-    """Sequential per-core loop for state-private engines (`shares_state`
-    False) that have no fully inlined specialization: cache and buffer are
-    inlined, the prefetcher keeps its public ``on_access`` call."""
-    on_access = prefetcher.on_access
-    per_lane: List[Tuple["CoreResult", List[LLCEvent]]] = []
-    for core_id, addresses, cache, buffer, stats in lanes:
-        addresses = address_list(addresses)
-        sets = cache._sets
-        num_sets = cache._num_sets
-        assoc = cache._associativity
-        bmap = buffer._blocks
-        bcap = buffer._capacity
-        bpop = bmap.pop
-        bpopitem = bmap.popitem
-        blen = len(bmap)
-        inflight_c = inflight[core_id]
-        events: List[LLCEvent] = []
-        record = events.append
-        track_llc = llc is not None
-        demand_hits = prefetch_hits = late_hits = misses = 0
-        issued = evicted = 0
-        step = 0
-        for address in addresses:
-            lines = sets[address % num_sets]
-            if address in lines:
-                if lines[0] != address:
-                    lines.remove(address)
-                    lines.insert(0, address)
-                demand_hits += 1
-                outcome = 0
-            else:
-                issued_at = bpop(address, None)
-                if issued_at is not None:
-                    blen -= 1
-                    if step - issued_at >= inflight_c:
-                        prefetch_hits += 1
-                    else:
-                        late_hits += 1
-                    outcome = 2
-                else:
-                    misses += 1
-                    outcome = 1
-                    if track_llc:
-                        record((step, address, True))
-                lines.insert(0, address)
-                if len(lines) > assoc:
-                    lines.pop()
-            for block in on_access(core_id, address, outcome):
-                if block not in sets[block % num_sets] and block not in bmap:
-                    bmap[block] = step
-                    blen += 1
-                    issued += 1
-                    if track_llc:
-                        record((step, block, False))
-                    if blen > bcap:
-                        bpopitem(last=False)
-                        blen -= 1
-                        evicted += 1
-            step += 1
-        stats.demand_hits = demand_hits
-        stats.prefetch_hits = prefetch_hits
-        stats.late_hits = late_hits
-        stats.misses = misses
-        stats.prefetches_issued = issued
-        buffer.evicted_unused = evicted
-        per_lane.append((stats, events))
-    _replay_llc(llc, per_lane)
-
-
 __all__ = [
     "address_list",
     "run_baseline",
     "run_next_line",
     "run_stream_per_core",
     "run_stream_shared",
-    "run_per_core_generic",
 ]

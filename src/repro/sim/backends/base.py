@@ -2,9 +2,9 @@
 
 A backend is an execution strategy for the per-run simulation kernel: it
 receives the prepared lanes (one per core: trace, L1-I, prefetch buffer,
-stats), the per-core in-flight windows, the prefetcher and the optional
-shared LLC, and must leave every one of those objects in *exactly* the state
-the reference round-robin loop would — backends are allowed to reorder and
+stats), the per-core in-flight windows, the prefetcher and the shared LLC,
+and must leave every one of those objects in *exactly* the state the
+reference round-robin loop would — backends are allowed to reorder and
 batch work only where the reordering is provably unobservable.  Reports are
 therefore byte-identical across backends; the parity tests in
 ``tests/test_backends.py`` enforce this for every engine family.
@@ -49,7 +49,7 @@ class Backend(abc.ABC):
         lanes: "List[Lane]",
         inflight: Dict[int, int],
         prefetcher: "Prefetcher",
-        llc: "SharedLLC | None" = None,
+        llc: "SharedLLC",
     ) -> None:
         """Simulate every lane, mutating stats/buffers/prefetcher/LLC in place.
 

@@ -75,16 +75,16 @@ of (trace, geometry, engine configuration, starting state), the backend
 memoizes them across runs keyed by the trace's *content fingerprint*
 (carried by the columnar :class:`~repro.workloads.trace.CoreTrace` IR and
 persisted in the trace cache's sidecar), extended for warm runs with the
-*state digests* of the restored L1/buffer/prefetcher state
-(:func:`~repro.sim.cache.digest_state`): the per-lane arrays and
-containment tables are shared by all four engine families of an
-experiment row, and the solved next-line timelines and PIF/SHIFT lane
-solutions are replayed onto each run's objects whenever trace and
-digests match.  Content keys mean the memos stay warm across *object*
-boundaries too — a sweep that reloads the same entry from the
-memory-mapped cache, or regenerates an identical trace, hits directly,
-where the previous ``id(addresses)`` scheme (and the strong-reference
-tuples it needed to guard against id reuse) could not.  Per-run
+exact *state keys* of the restored L1/buffer/prefetcher state (the
+hashable ``state_key()`` tuples): the per-lane arrays are shared by all
+four engine families of an experiment row, and the solved next-line
+timelines and PIF/SHIFT lane solutions are replayed onto each run's
+objects whenever trace and state keys match.  Content keys mean the
+memos stay warm across *object* boundaries too — a sweep that reloads
+the same entry from the memory-mapped cache, or regenerates an identical
+trace, hits directly, where the previous ``id(addresses)`` scheme (and
+the strong-reference tuples it needed to guard against id reuse) could
+not.  Per-run
 parameters — the in-flight window, buffer capacity, the LLC itself — are
 applied after the cached pure core, so results are identical whether a
 run hits or misses.  Every memo is a bounded LRU: chunked runs mint one
@@ -139,7 +139,7 @@ class _Unsupported(Exception):
 #: pure function of (trace content, L1 geometry) and is engine-independent,
 #: so the four engines of one experiment row — and repeated bench runs —
 #: share one precompute.  Keys are (content fingerprint, sets, ways), plus
-#: the L1 state digest for warm overlays: content addressing needs no
+#: the L1 state key for warm overlays: content addressing needs no
 #: identity validation and survives reloads of the same trace from the
 #: memory-mapped cache.
 #: Cap sizing: a chunked 100k-block 4-core run at a 500-block window mints
@@ -449,7 +449,7 @@ def _lane_arrays_for(lanes) -> List[_LaneArrays]:
     """Precompute every lane (pure, memoized) before anything is mutated.
 
     A lane whose L1 carries restored contents gets a :class:`_WarmLaneArrays`
-    overlay, memoized under the base key extended with the L1 state digest
+    overlay, memoized under the base key extended with the L1 state key
     (the overlay shares the trace-pure columns with its base entry).
     """
     out = []
@@ -494,7 +494,7 @@ def _replay_llc(llc, per_lane, events_key=None) -> None:
     touched set — is memoized against ``(events_key, LLC state)`` and
     applied in O(touched sets) on repeat runs.
     """
-    if llc is None or not per_lane:
+    if not per_lane:
         return
     counts = [entry[1].size for entry in per_lane]
     if sum(counts) == 0:
@@ -797,9 +797,8 @@ def _run_baseline(lanes, llc) -> None:
         stats.demand_hits = hits
         stats.misses = arr.n - hits
         _write_l1_state(cache, arr)
-        if llc is not None:
-            miss_steps = np.flatnonzero(~arr.l1_hit)
-            per_lane.append((stats, miss_steps, arr.a[miss_steps], None, None))
+        miss_steps = np.flatnonzero(~arr.l1_hit)
+        per_lane.append((stats, miss_steps, arr.a[miss_steps], None, None))
     events_key = ("baseline",) + tuple(arr.key for arr in arrays)
     _replay_llc(llc, per_lane, events_key)
 
@@ -831,13 +830,9 @@ def _sort_rank(keys) -> np.ndarray:
 #: the per-lane searchsorted path is used instead.
 _DENSE_TABLE_CELLS = 16_000_000
 
-#: Cross-run memo of dense containment tables (trace-pure, ~10 MB each).
-_TABLE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_TABLE_CACHE_MAX = 4
-
 
 def _dense_table(arrays):
-    """The cached (lane, time, set) last-access table plus padded per-lane
+    """The (lane, time, set) last-access table plus padded per-lane
     address/co-resident matrices, or None when over the cell budget (or for
     warm lanes, whose untouched-set queries need the initial contents that
     only the per-lane ``contains_at`` overlay consults)."""
@@ -850,10 +845,6 @@ def _dense_table(arrays):
         or num_lanes * max_n * num_sets > _DENSE_TABLE_CELLS
     ):
         return None
-    key = tuple(arr.key for arr in arrays)
-    value = _cache_get(_TABLE_CACHE, key)
-    if value is not None:
-        return value
     table = np.full((num_lanes, max_n, num_sets), -1, dtype=np.int32)
     lane_sizes = [arr.n for arr in arrays]
     positions = np.concatenate([np.arange(n) for n in lane_sizes])
@@ -865,9 +856,7 @@ def _dense_table(arrays):
     for index, arr in enumerate(arrays):
         lane_addr[index, : arr.n] = arr.a
         lane_other[index, : arr.n] = arr.other_after
-    value = (num_sets, table, lane_addr, lane_other)
-    _cache_put(_TABLE_CACHE, _TABLE_CACHE_MAX, key, value)
-    return value
+    return num_sets, table, lane_addr, lane_other
 
 
 def _contains_batch(arrays, lane_of, targets, times) -> np.ndarray:
@@ -1167,7 +1156,7 @@ def _run_next_line(lanes, inflight: Dict[int, int], degree: int, llc) -> bool:
         blocks.clear()
     for lane_index, block, issued_at in solution.leftover:
         buffers[lane_index][block] = issued_at
-    if llc is not None and solution.ev_step.size:
+    if solution.ev_step.size:
         stats_list = [lane[4] for lane in lanes]
         _replay_llc_memo(
             llc,
@@ -1288,7 +1277,7 @@ def _records_for(arr: _LaneArrays, compactor, region_blocks: int):
 
 #: Cross-run memo of solved PIF lanes.  A PIF run is a pure function of
 #: (trace, PIF configuration, starting state) — the state entering the key
-#: as the prefetcher/buffer digests, so fresh and warm (chunk-resume) runs
+#: as the prefetcher/buffer state keys, so fresh and warm (chunk-resume) runs
 #: share the machinery — and the counters, the LLC event stream and the
 #: prefetcher's final state are captured once and replayed onto later
 #: runs' objects; only the in-flight classification (stats-only) is
@@ -1299,7 +1288,7 @@ _PIF_CACHE_MAX = 256
 
 
 class _PIFLaneSolution:
-    """Everything one PIF lane run produces from a digested starting state."""
+    """Everything one PIF lane run produces from a keyed starting state."""
 
     __slots__ = (
         "misses",
@@ -1365,11 +1354,14 @@ def _apply_pif_solution(lane, arr: _LaneArrays, solution: _PIFLaneSolution, pref
     stats.prefetches_issued = solution.issued
 
 
-def _pif_events_entry(lane, num_demand, num_pf, steps, addrs):
+def _pif_events_entry(lane, solution):
+    """A lane's LLC events (demand misses, then prefetches) for :func:`_replay_llc`."""
+    num_demand = solution.d_steps.size
+    num_pf = solution.p_steps.size
     return (
         lane[4],
-        steps,
-        addrs,
+        np.concatenate([solution.d_steps, solution.p_steps]),
+        np.concatenate([solution.d_addrs, solution.p_addrs]),
         np.concatenate([np.ones(num_demand, dtype=bool), np.zeros(num_pf, dtype=bool)]),
         np.concatenate(
             [np.full(num_demand, -1, dtype=np.int64), np.arange(num_pf, dtype=np.int64)]
@@ -1396,61 +1388,38 @@ def _run_pif(lanes, inflight: Dict[int, int], prefetcher: PIFPrefetcher, llc) ->
         prefetcher.state_key(),
         tuple(lane[3].state_key() for lane in lanes),
     )
-    per_lane = []
     solutions = _cache_get(_PIF_CACHE, cache_key)
     if solutions is not None:
         for lane, arr, solution in zip(lanes, arrays, solutions):
             _apply_pif_solution(lane, arr, solution, prefetcher, inflight[lane[0]])
             _write_l1_state(lane[2], arr)
-            if llc is not None:
-                per_lane.append(
-                    _pif_events_entry(
-                        lane,
-                        solution.d_steps.size,
-                        solution.p_steps.size,
-                        np.concatenate([solution.d_steps, solution.p_steps]),
-                        np.concatenate([solution.d_addrs, solution.p_addrs]),
-                    )
-                )
-        _replay_llc(llc, per_lane, ("pif", cache_key))
-        return
-    all_records = [
-        _records_for(arr, prefetcher._compactors[lane[0]], region_blocks)
-        for lane, arr in zip(lanes, arrays)
-    ]
-    offsets_table = _expand_offsets(region_blocks)
-    num_streams = config.stream_buffer.num_streams
-    lookahead = config.stream_buffer.lookahead_records
-    outstanding_cap = config.stream_buffer.capacity_records * region_blocks
-    solutions = []
-    for lane, arr, records in zip(lanes, arrays, all_records):
-        solution, events = _pif_lane(
-            lane,
-            arr,
-            records,
-            prefetcher,
-            inflight[lane[0]],
-            True,
-            offsets_table,
-            num_streams,
-            lookahead,
-            outstanding_cap,
-            capture=True,
-        )
-        solutions.append(solution)
-        _write_l1_state(lane[2], arr)
-        if llc is not None:
-            demand_steps, demand_addrs, pf_steps, pf_addrs = events
-            per_lane.append(
-                _pif_events_entry(
+    else:
+        all_records = [
+            _records_for(arr, prefetcher._compactors[lane[0]], region_blocks)
+            for lane, arr in zip(lanes, arrays)
+        ]
+        offsets_table = _expand_offsets(region_blocks)
+        num_streams = config.stream_buffer.num_streams
+        lookahead = config.stream_buffer.lookahead_records
+        outstanding_cap = config.stream_buffer.capacity_records * region_blocks
+        solutions = []
+        for lane, arr, records in zip(lanes, arrays, all_records):
+            solutions.append(
+                _pif_lane(
                     lane,
-                    len(demand_steps),
-                    len(pf_steps),
-                    np.asarray(demand_steps + pf_steps, dtype=np.int64),
-                    np.asarray(demand_addrs + pf_addrs, dtype=np.int64),
+                    arr,
+                    records,
+                    prefetcher,
+                    inflight[lane[0]],
+                    offsets_table,
+                    num_streams,
+                    lookahead,
+                    outstanding_cap,
                 )
             )
-    _cache_put(_PIF_CACHE, _PIF_CACHE_MAX, cache_key, solutions)
+            _write_l1_state(lane[2], arr)
+        _cache_put(_PIF_CACHE, _PIF_CACHE_MAX, cache_key, solutions)
+    per_lane = [_pif_events_entry(lane, solution) for lane, solution in zip(lanes, solutions)]
     _replay_llc(llc, per_lane, ("pif", cache_key))
 
 
@@ -1460,16 +1429,15 @@ def _pif_lane(
     compactor_records,
     prefetcher: PIFPrefetcher,
     inflight_c: int,
-    track_llc: bool,
     offsets_table,
     num_streams: int,
     lookahead: int,
     outstanding_cap: int,
-    capture: bool = False,
-):
+) -> _PIFLaneSolution:
     """Event loop over one PIF core: exact mirror of the Python fast path,
     with the per-access cache and compactor work replaced by the
-    precomputed hit flags, record stream and 2-way set contents."""
+    precomputed hit flags, record stream and 2-way set contents.  Mutates
+    the lane's objects and returns the captured :class:`_PIFLaneSolution`."""
     core_id, _addresses, cache, buffer, stats = lane
     engine = prefetcher._streams[core_id]
     history = prefetcher._histories[core_id]
@@ -1549,9 +1517,8 @@ def _pif_lane(
             else:
                 misses += 1
                 is_miss = True
-                if track_llc:
-                    add_dstep(step)
-                    add_daddr(address)
+                add_dstep(step)
+                add_daddr(address)
             set_index = set_list[step]
             content_m[set_index] = address
             content_o[set_index] = other_list[step]
@@ -1600,9 +1567,8 @@ def _pif_lane(
                                 bmap[block] = step
                                 blen += 1
                                 issued += 1
-                                if track_llc:
-                                    add_pstep(step)
-                                    add_paddr(block)
+                                add_pstep(step)
+                                add_paddr(block)
                                 if blen > bcap:
                                     bpopitem(last=False)
                                     blen -= 1
@@ -1633,9 +1599,8 @@ def _pif_lane(
                                     bmap[rec_t] = step
                                     blen += 1
                                     issued += 1
-                                    if track_llc:
-                                        add_pstep(step)
-                                        add_paddr(rec_t)
+                                    add_pstep(step)
+                                    add_paddr(rec_t)
                                     if blen > bcap:
                                         bpopitem(last=False)
                                         blen -= 1
@@ -1654,9 +1619,8 @@ def _pif_lane(
                                         bmap[block] = step
                                         blen += 1
                                         issued += 1
-                                        if track_llc:
-                                            add_pstep(step)
-                                            add_paddr(block)
+                                        add_pstep(step)
+                                        add_paddr(block)
                                         if blen > bcap:
                                             bpopitem(last=False)
                                             blen -= 1
@@ -1675,33 +1639,31 @@ def _pif_lane(
     compactor._mask = final_mask
     engine.dispatches = dispatches
     engine.record_reads = record_reads
-    solution = None
-    if capture:
-        solution = _PIFLaneSolution()
-        solution.misses = misses
-        solution.issued = issued
-        solution.evicted = evicted
-        solution.dispatches = dispatches
-        solution.record_reads = record_reads
-        solution.ages = ages_arr
-        solution.records = list(records)
-        solution.next_pos = next_pos
-        solution.index_items = list(index_entries.items())
-        solution.final_trigger = final_trigger
-        solution.final_mask = final_mask
-        solution.buffer_items = list(bmap.items())
-        slot_of = {id(stream): slot for slot, stream in enumerate(streams)}
-        solution.streams = [
-            (stream.next_pos, list(stream.outstanding)) for stream in streams
-        ]
-        solution.owner_items = [
-            (block, slot_of[id(stream)]) for block, stream in owner.items()
-        ]
-        solution.d_steps = np.asarray(demand_steps, dtype=np.int64)
-        solution.d_addrs = np.asarray(demand_addrs, dtype=np.int64)
-        solution.p_steps = np.asarray(pf_steps, dtype=np.int64)
-        solution.p_addrs = np.asarray(pf_addrs, dtype=np.int64)
-    return solution, (demand_steps, demand_addrs, pf_steps, pf_addrs)
+    solution = _PIFLaneSolution()
+    solution.misses = misses
+    solution.issued = issued
+    solution.evicted = evicted
+    solution.dispatches = dispatches
+    solution.record_reads = record_reads
+    solution.ages = ages_arr
+    solution.records = list(records)
+    solution.next_pos = next_pos
+    solution.index_items = list(index_entries.items())
+    solution.final_trigger = final_trigger
+    solution.final_mask = final_mask
+    solution.buffer_items = list(bmap.items())
+    slot_of = {id(stream): slot for slot, stream in enumerate(streams)}
+    solution.streams = [
+        (stream.next_pos, list(stream.outstanding)) for stream in streams
+    ]
+    solution.owner_items = [
+        (block, slot_of[id(stream)]) for block, stream in owner.items()
+    ]
+    solution.d_steps = np.asarray(demand_steps, dtype=np.int64)
+    solution.d_addrs = np.asarray(demand_addrs, dtype=np.int64)
+    solution.p_steps = np.asarray(pf_steps, dtype=np.int64)
+    solution.p_addrs = np.asarray(pf_addrs, dtype=np.int64)
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -1710,7 +1672,7 @@ def _pif_lane(
 
 #: Cross-run memo of solved SHIFT runs.  A SHIFT run is a pure function of
 #: (traces, group structure, SHIFT configuration, starting state) — the
-#: state entering the key as the prefetcher/buffer digests: the per-lane
+#: state entering the key as the prefetcher/buffer state keys: the per-lane
 #: counters and LLC event streams plus each group's final
 #: history/index/compactor state are captured once and replayed onto later
 #: runs' objects — the same contract as ``_PIF_CACHE``, extended with the
@@ -2166,9 +2128,8 @@ def _apply_shift_solution(
             hits = int(np.count_nonzero(arr.l1_hit))
             stats.demand_hits = hits
             stats.misses = arr.n - hits
-            if llc is not None:
-                miss_steps = np.flatnonzero(~arr.l1_hit)
-                per_lane.append((stats, miss_steps, arr.a[miss_steps], None, None))
+            miss_steps = np.flatnonzero(~arr.l1_hit)
+            per_lane.append((stats, miss_steps, arr.a[miss_steps], None, None))
             continue
         _group_index, engine, _is_trainer = role
         buffer._blocks.clear()
@@ -2197,16 +2158,7 @@ def _apply_shift_solution(
         stats.late_hits = buffer_hits - timely
         stats.misses = solution.misses
         stats.prefetches_issued = solution.issued
-        if llc is not None:
-            per_lane.append(
-                _pif_events_entry(
-                    lane,
-                    solution.d_steps.size,
-                    solution.p_steps.size,
-                    np.concatenate([solution.d_steps, solution.p_steps]),
-                    np.concatenate([solution.d_addrs, solution.p_addrs]),
-                )
-            )
+        per_lane.append(_pif_events_entry(lane, solution))
     for group, state in zip(groups, group_states):
         history = group.history
         entries = group.index._entries
@@ -2269,7 +2221,7 @@ class NumPyBackend(Backend):
     def __init__(self) -> None:
         self._python = PythonBackend()
 
-    def run(self, lanes, inflight: Dict[int, int], prefetcher, llc=None) -> None:
+    def run(self, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
         ptype = type(prefetcher)
         try:
             if ptype is NullPrefetcher or ptype is Prefetcher:

@@ -2,9 +2,8 @@
 
 This backend is the reference implementation every other backend is pinned
 against.  It dispatches on the exact prefetcher type — subclasses may
-override ``on_access`` and must fall through to the per-core or round-robin
-generic loops — and otherwise runs the inlined per-family loops that
-PR 2/3 tuned.
+override ``on_access`` and must fall through to the generic round-robin
+loop — and otherwise runs the inlined per-family loops.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from .base import Backend
 
 
 class PythonBackend(Backend):
-    """Per-family inlined CPython loops (the PR-2/3 fast paths)."""
+    """Per-family inlined CPython loops."""
 
     name = "python"
 
-    def run(self, lanes, inflight: Dict[int, int], prefetcher, llc=None) -> None:
+    def run(self, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
         ptype = type(prefetcher)
         if ptype is NullPrefetcher or ptype is Prefetcher:
             _fastpath.run_baseline(lanes, llc)
@@ -38,8 +37,6 @@ class PythonBackend(Backend):
             _fastpath.run_stream_per_core(lanes, inflight, prefetcher, llc)
         elif ptype is SHIFTPrefetcher or ptype is ConsolidatedSHIFTPrefetcher:
             _fastpath.run_stream_shared(lanes, inflight, prefetcher, llc)
-        elif not getattr(prefetcher, "shares_state", True):
-            _fastpath.run_per_core_generic(lanes, inflight, prefetcher, llc)
         else:
             # The generic loop lives on the engine because it *defines* the
             # round-robin semantics; imported lazily to avoid the module

@@ -18,24 +18,11 @@ property and equivalence tests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from typing import List
 
 from ..config import CacheConfig
 from ..errors import SimulationError
-
-
-def digest_state(state) -> str:
-    """A stable content digest of a JSON-safe ``snapshot()`` payload.
-
-    Two objects whose snapshots are equal share a digest, which is what the
-    numpy backend's cross-run memos key warm-state solutions on: a solution
-    replayed onto state with the same digest is exact by construction.
-    """
-    payload = json.dumps(state, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class SetAssociativeCache:
@@ -110,17 +97,12 @@ class SetAssociativeCache:
             )
         self._sets = [[int(tag) for tag in lines] for lines in state]
 
-    def state_digest(self) -> str:
-        """Content digest of the full LRU state (see :func:`digest_state`)."""
-        return digest_state(self.snapshot())
-
     def state_key(self) -> tuple:
         """The full LRU state as a hashable tuple.
 
-        Exact (collision-free) and an order of magnitude cheaper to build
-        than :meth:`state_digest`; what the numpy backend keys its
-        warm-state memos on — two caches compare equal under this key iff
-        their snapshots are equal.
+        Exact (collision-free) and cheap to build; what the numpy backend
+        keys its warm-state memos on — two caches compare equal under this
+        key iff their snapshots are equal.
         """
         return tuple(tuple(lines) for lines in self._sets)
 
@@ -198,15 +180,10 @@ class PrefetchBuffer:
         )
         self.evicted_unused = int(state["evicted_unused"])
 
-    def state_digest(self) -> str:
-        """Content digest of FIFO order, stamps and the eviction counter."""
-        return digest_state(self.snapshot())
-
     def state_key(self) -> tuple:
         """FIFO order, stamps and the eviction counter as a hashable tuple
-        (the cheap exact form of :meth:`state_digest`, see
-        :meth:`SetAssociativeCache.state_key`)."""
+        (exact, see :meth:`SetAssociativeCache.state_key`)."""
         return (tuple(self._blocks.items()), self.evicted_unused)
 
 
-__all__ = ["SetAssociativeCache", "PrefetchBuffer", "digest_state"]
+__all__ = ["SetAssociativeCache", "PrefetchBuffer"]

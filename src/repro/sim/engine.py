@@ -16,8 +16,8 @@ cache, buffer and stream operations inlined, the ``numpy`` backend replaces
 them with array passes where the structure allows.  Shared-history engines
 (SHIFT) keep the round-robin order via per-lane generators on every
 backend.  Results are bit-identical across all paths; the regression tests
-pin them to the frozen PR-1 loop in :mod:`repro.sim._legacy` and the
-backends to each other.
+pin every fast path to the generic round-robin loop
+(:meth:`SimulationEngine._run_round_robin`) and the backends to each other.
 
 Backends must leave the :class:`CoreResult` counters, the prefetch-buffer
 contents, the prefetcher's mutable state, the LLC *and the L1 cache
@@ -67,10 +67,9 @@ class CoreResult:
     accounted as half a miss (see :attr:`effective_misses`), matching the
     half-latency charge of the timing model.
 
-    When the shared LLC is modelled, every demand miss is classified:
-    ``llc_hits`` were served by the LLC, ``memory_misses`` went to main
-    memory (``llc_hits + memory_misses == misses``).  Runs without an LLC
-    model (``model_llc=False``, the frozen PR-1 reference) leave both at 0.
+    Every demand miss is classified by the shared LLC: ``llc_hits`` were
+    served by the LLC, ``memory_misses`` went to main memory
+    (``llc_hits + memory_misses == misses``).
     """
 
     core_id: int
@@ -115,7 +114,8 @@ class SimulationResult:
     cores: List[CoreResult] = field(default_factory=list)
     #: Dedicated prefetcher storage per core (0 for baseline/next-line).
     storage_bytes_per_core: int = 0
-    #: Shared-LLC statistics; None when the LLC was not modelled.
+    #: Shared-LLC statistics; every engine run sets them (None only on
+    #: results assembled by hand).
     llc: Optional[LLCStats] = None
 
     @property
@@ -177,14 +177,12 @@ class SimulationEngine:
         system: Optional[SystemConfig] = None,
         prefetcher: Optional[Prefetcher] = None,
         prefetch_buffer_blocks: int = DEFAULT_PREFETCH_BUFFER_BLOCKS,
-        model_llc: bool = True,
         backend: "str | Backend | None" = None,
         chunk_blocks: Optional[int] = None,
     ) -> None:
         self._system = system if system is not None else scaled_system()
         self._prefetcher = prefetcher if prefetcher is not None else Prefetcher()
         self._buffer_blocks = prefetch_buffer_blocks
-        self._model_llc = model_llc
         self._backend = get_backend(backend)
         if chunk_blocks is not None and chunk_blocks < 1:
             raise SimulationError("chunk_blocks must be a positive block count")
@@ -242,7 +240,7 @@ class SimulationEngine:
             for t in cores
         }
 
-        llc = self._build_llc(trace_set) if self._model_llc else None
+        llc = self._build_llc(trace_set)
 
         max_len = max(t.num_accesses for t in cores)
         chunk_blocks = self._chunk_blocks
@@ -259,16 +257,13 @@ class SimulationEngine:
             stats = results[t.core_id]
             stats.prefetches_unused = lane_buffer.evicted_unused + len(lane_buffer)
             stats.history_block_reads = prefetcher.history_block_reads(t.core_id)
-        llc_stats: Optional[LLCStats] = None
-        if llc is not None:
-            llc.add_history_reads(sum(r.history_block_reads for r in results.values()))
-            llc_stats = llc.stats()
+        llc.add_history_reads(sum(r.history_block_reads for r in results.values()))
         return SimulationResult(
             prefetcher_name=prefetcher.name,
             system=system,
             cores=[results[t.core_id] for t in cores],
             storage_bytes_per_core=prefetcher.storage_bytes_per_core(system.num_cores),
-            llc=llc_stats,
+            llc=llc.stats(),
         )
 
     def _run_chunked(
@@ -279,10 +274,10 @@ class SimulationEngine:
         results: Dict[int, CoreResult],
         inflight: Dict[int, int],
         prefetcher: Prefetcher,
-        llc: Optional[SharedLLC],
+        llc: SharedLLC,
         chunk_blocks: int,
         max_len: int,
-    ) -> Optional[SharedLLC]:
+    ) -> SharedLLC:
         """Stream the traces through the backend in bounded windows.
 
         Every chunk covers the same global step range ``[start, stop)`` on
@@ -392,8 +387,8 @@ class SimulationEngine:
         caches: Dict[int, SetAssociativeCache],
         buffers: Dict[int, PrefetchBuffer],
         prefetcher: Prefetcher,
-        llc: Optional[SharedLLC],
-    ) -> Optional[SharedLLC]:
+        llc: SharedLLC,
+    ) -> SharedLLC:
         """Serialize all engine state through JSON and restore fresh objects.
 
         The prefetcher is restored in place (the engine cannot re-derive its
@@ -404,7 +399,7 @@ class SimulationEngine:
             "caches": [[cid, c.snapshot()] for cid, c in sorted(caches.items())],
             "buffers": [[cid, b.snapshot()] for cid, b in sorted(buffers.items())],
             "prefetcher": prefetcher.snapshot(),
-            "llc": None if llc is None else llc.snapshot(),
+            "llc": llc.snapshot(),
         }))
         for core_id, snap in state["caches"]:
             fresh_cache = SetAssociativeCache(self._system.l1i)
@@ -415,8 +410,6 @@ class SimulationEngine:
             fresh_buffer.restore(snap)
             buffers[int(core_id)] = fresh_buffer
         prefetcher.restore(state["prefetcher"])
-        if llc is None:
-            return None
         fresh_llc = SharedLLC(self._system.llc, self._system.num_cores)
         fresh_llc.restore(state["llc"])
         return fresh_llc
@@ -449,11 +442,12 @@ class SimulationEngine:
         return llc
 
     @staticmethod
-    def _run_round_robin(lanes, inflight, prefetcher, llc=None) -> None:
+    def _run_round_robin(lanes, inflight, prefetcher, llc) -> None:
         """Generic loop over the public APIs, for custom prefetchers.
 
         This loop *defines* the round-robin semantics every fast path must
-        reproduce, including the order in which cores' L1 misses and
+        reproduce (the tests and ``repro.bench`` use it as the reference),
+        including the order in which cores' L1 misses and
         prefetch fetches reach the shared LLC: one access per core per
         step, lanes visited in core-id order, the demand classification of
         a miss preceding the prefetches it triggers.
@@ -485,24 +479,21 @@ class SimulationEngine:
                     else:
                         outcome = MISS
                         stats.misses += 1
-                        if llc is not None:
-                            if llc.access_demand(address):
-                                stats.llc_hits += 1
-                            else:
-                                stats.memory_misses += 1
+                        if llc.access_demand(address):
+                            stats.llc_hits += 1
+                        else:
+                            stats.memory_misses += 1
                     cache.insert(address)
                 for block in on_access(core_id, address, outcome):
                     if not cache.contains(block) and buffer.insert(block, step):
                         stats.prefetches_issued += 1
-                        if llc is not None:
-                            llc.access_prefetch(block)
+                        llc.access_prefetch(block)
 
 
 def simulate(
     trace_set: TraceSet,
     system: Optional[SystemConfig] = None,
     prefetcher: "Prefetcher | str" = "none",
-    model_llc: bool = True,
     backend: "str | Backend | None" = None,
     chunk_blocks: Optional[int] = None,
     **factory_kwargs,
@@ -522,7 +513,6 @@ def simulate(
     engine = SimulationEngine(
         system=sys_config,
         prefetcher=prefetcher,
-        model_llc=model_llc,
         backend=backend,
         chunk_blocks=chunk_blocks,
     )

@@ -40,7 +40,6 @@ from typing import List, Set
 
 from ..config import LLCConfig
 from ..errors import SimulationError
-from .cache import digest_state
 
 
 @dataclass
@@ -280,11 +279,6 @@ class SharedLLC:
         self.prefetch_misses = int(state["prefetch_misses"])
         self.history_reads = int(state["history_reads"])
         self.bank_accesses = [int(count) for count in state["bank_accesses"]]
-
-    def state_digest(self) -> str:
-        """Content digest of the full LLC state (see
-        :func:`~repro.sim.cache.digest_state`)."""
-        return digest_state(self.snapshot())
 
     def stats(self) -> LLCStats:
         return LLCStats(

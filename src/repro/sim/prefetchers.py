@@ -28,8 +28,8 @@ shared history capacity between the stacks.
 Performance notes: :mod:`repro.sim._fastpath` inlines the hot paths of these
 classes into specialized simulation loops, reaching into the underscore
 attributes directly.  The classes here stay the single source of truth for
-*semantics* — the regression tests pin the fast paths to them and to the
-frozen PR-1 reference in :mod:`repro.sim._legacy`.
+*semantics* — the regression tests pin the fast paths to the generic
+round-robin loop that drives them through their public methods.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..config import (
     SystemConfig,
 )
 from ..errors import PrefetcherError
-from .cache import digest_state
 
 #: Demand-access outcomes passed to :meth:`Prefetcher.on_access`.
 HIT = 0
@@ -81,15 +80,13 @@ def _expand_offsets(region_blocks: int) -> List[Tuple[int, ...]]:
 class Prefetcher:
     """Base class: never prefetches.
 
-    ``shares_state`` declares whether the engine couples cores through shared
-    mutable state (like SHIFT's history).  The simulation loop may process
-    cores sequentially when it is False; shared-state engines must be stepped
-    round-robin so every core observes the same history interleaving.
-    Subclasses with cross-core state must leave it True.
+    The backends dispatch on the exact engine type: the built-in engines
+    run specialized loops, and any other subclass runs the generic
+    round-robin loop, which steps every core one access at a time, so a
+    custom engine may couple cores through shared state.
     """
 
     name = "none"
-    shares_state = True
 
     def on_access(self, core_id: int, block_address: int, outcome: int) -> List[int]:
         """Observe one retire-order access; return blocks to prefetch."""
@@ -124,22 +121,13 @@ class Prefetcher:
         if state:
             raise PrefetcherError(f"{self.name}: unexpected snapshot state {state!r}")
 
-    def state_digest(self) -> str:
-        """Content digest of :meth:`snapshot` (see
-        :func:`~repro.sim.cache.digest_state`).
-
-        Two prefetchers with equal snapshots digest equally, so the numpy
-        backend can key its warm-state memos on ``(window fingerprint,
-        state digest)`` and replay a cached solution exactly.
-        """
-        return digest_state(self.snapshot())
-
     def state_key(self) -> tuple:
         """All mutable state as a hashable tuple.
 
-        The cheap exact form of :meth:`state_digest`: two prefetchers share
-        a key iff their snapshots are equal, but building nested tuples
-        from the live structures skips the JSON serialization entirely,
+        Two prefetchers share a key iff their snapshots are equal, so the
+        numpy backend keys its warm-state memos on ``(window fingerprint,
+        state key)`` and replays a cached solution exactly.  Building
+        nested tuples from the live structures skips any serialization,
         which matters on the chunked hot path where the numpy backend keys
         a memo lookup on this at every chunk.  Stateless engines return
         ``()``; subclasses with mutable state must override in lockstep
@@ -151,8 +139,6 @@ class Prefetcher:
 class NullPrefetcher(Prefetcher):
     """Explicit no-prefetch baseline."""
 
-    shares_state = False
-
 
 class NextLinePrefetcher(Prefetcher):
     """Tagged next-N-line prefetcher.
@@ -163,7 +149,6 @@ class NextLinePrefetcher(Prefetcher):
     """
 
     name = "next_line"
-    shares_state = False
 
     def __init__(self, config: Optional[NextLineConfig] = None) -> None:
         self._config = config if config is not None else NextLineConfig()
@@ -531,7 +516,6 @@ class PIFPrefetcher(Prefetcher):
     """Proactive Instruction Fetch: private history, index and streams per core."""
 
     name = "pif"
-    shares_state = False
 
     def __init__(self, num_cores: int, config: Optional[PIFConfig] = None) -> None:
         if num_cores < 1:
@@ -629,7 +613,6 @@ class SHIFTPrefetcher(Prefetcher):
     """
 
     name = "shift"
-    shares_state = True
 
     def __init__(
         self,
@@ -758,7 +741,6 @@ class ConsolidatedSHIFTPrefetcher(Prefetcher):
     """
 
     name = "shift"
-    shares_state = True
 
     def __init__(
         self,

@@ -66,9 +66,7 @@ def run_pair(trace_set, engine, system=SYSTEM, **kwargs):
 
 def assert_equal_results(python, numpy_r):
     assert [asdict(c) for c in python.cores] == [asdict(c) for c in numpy_r.cores]
-    assert (python.llc is None) == (numpy_r.llc is None)
-    if python.llc is not None:
-        assert asdict(python.llc) == asdict(numpy_r.llc)
+    assert asdict(python.llc) == asdict(numpy_r.llc)
     assert python.storage_bytes_per_core == numpy_r.storage_bytes_per_core
 
 
@@ -263,7 +261,6 @@ class TestBackendParity:
     def test_custom_prefetcher_uses_python_loops(self):
         class EveryOther(Prefetcher):
             name = "every_other"
-            shares_state = False
 
             def on_access(self, core_id, block_address, outcome):
                 return [block_address + 2] if outcome != 0 else []
@@ -276,24 +273,3 @@ class TestBackendParity:
             )
             results[backend] = engine.run(trace_set)
         assert_equal_results(results["python"], results["numpy"])
-
-    def test_no_llc_runs_match(self):
-        trace_set = small_trace_set(seed=13, num_cores=2, blocks=800)
-        for engine in ("none", "next_line", "pif"):
-            python = simulate(
-                trace_set,
-                SYSTEM,
-                engine,
-                model_llc=False,
-                backend="python",
-                **ENGINE_KWARGS[engine],
-            )
-            numpy_r = simulate(
-                trace_set,
-                SYSTEM,
-                engine,
-                model_llc=False,
-                backend="numpy",
-                **ENGINE_KWARGS[engine],
-            )
-            assert_equal_results(python, numpy_r)

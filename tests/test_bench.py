@@ -16,14 +16,14 @@ class TestBenchHarness:
         path = write_bench_json(result, tmp_path)
         assert path.name == "BENCH_experiment.json"
         payload = json.loads(path.read_text())
-        assert payload["baseline"]["name"] == "pr1-serial-legacy"
+        assert payload["baseline"]["name"] == "reference-loop"
         assert "created" in payload and "python" in payload
 
     def test_quick_hotloop_bench_covers_all_engines(self, tmp_path):
         result = bench_hotloop(quick=True)
         assert set(result["engines"]) == {"none", "next_line", "pif", "shift"}
         for data in result["engines"].values():
-            assert data["legacy_seconds"] > 0
+            assert data["reference_seconds"] > 0
             assert data["optimized_seconds"] > 0
         path = write_bench_json(result, tmp_path)
         assert path.name == "BENCH_hotloop.json"

@@ -26,7 +26,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.config import CacheConfig, scaled_shift_config, scaled_system
-from repro.errors import PrefetcherError, SimulationError
+from repro.errors import ConfigurationError, PrefetcherError, SimulationError
 from repro.experiments import run_experiment
 from repro.experiments.cells import CellSpec, run_cell
 from repro.results import result_cache_key
@@ -436,3 +436,48 @@ class TestWarmStateVectorizedReplay:
             backend="numpy", chunk_blocks=103, trace_cache=tmp_path, **config
         )
         assert chunked_parallel.to_json() == monolithic.to_json()
+
+
+class TestNumpyMemoCap:
+    """``REPRO_NUMPY_MEMO_MAX`` is the only bound on numpy memo growth in
+    chunked runs (every window mints new memo keys), so it must hold at its
+    tightest value without changing a report byte, and reject bad values."""
+
+    def test_memo_max_one_bounds_every_memo_and_keeps_reports(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.sim.backends import numpy_backend as nb
+
+        # Serial, so the memos filled are this process's own.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        params = {
+            "workloads": ["oltp_db2"],
+            "engines": ["none", "next_line", "pif", "shift"],
+            "num_cores": 4,
+            "blocks_per_core": 3_000,
+            "seed": 5,
+        }
+        monolithic = run_experiment(backend="python", **params).to_json()
+        monkeypatch.setenv("REPRO_NUMPY_MEMO_MAX", "1")
+        chunked = run_experiment(backend="numpy", chunk_blocks=500, **params).to_json()
+        assert chunked == monolithic
+        memos = {
+            "array": nb._ARRAY_CACHE,
+            "record": nb._RECORD_CACHE,
+            "next_line": nb._NEXT_LINE_CACHE,
+            "pif": nb._PIF_CACHE,
+            "shift": nb._SHIFT_CACHE,
+            "llc": nb._LLC_CACHE,
+        }
+        assert {name: len(memo) for name, memo in memos.items()} == dict.fromkeys(memos, 1)
+
+    @pytest.mark.parametrize("raw", ["0", "abc"])
+    def test_invalid_memo_max_is_rejected(self, monkeypatch, raw):
+        pytest.importorskip("numpy")
+        # A trace no other test simulates, so the run must store a memo entry.
+        spec = scaled_workload(workload_by_name("media_streaming"), 16)
+        trace_set = generate_traces(
+            spec, SYSTEM, seed=7_001, num_cores=2, blocks_per_core=400
+        )
+        monkeypatch.setenv("REPRO_NUMPY_MEMO_MAX", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_NUMPY_MEMO_MAX"):
+            simulate(trace_set, SYSTEM, "none", backend="numpy")

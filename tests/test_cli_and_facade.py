@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.cli_options import find_duplicates
 from repro.errors import ConfigurationError
 from repro.experiments import REPORT_SCHEMA_VERSION, ExperimentReport, run_experiment
 from repro.sweeps import SweepReport, run_sweep
@@ -122,12 +123,7 @@ class TestResultCacheCLI:
 
 class TestSharedOptionLint:
     def test_no_shared_flags_declared_outside_cli(self):
-        sys.path.insert(0, str(REPO_ROOT / "tools"))
-        try:
-            from check_cli_options import find_duplicates
-        finally:
-            sys.path.pop(0)
-        assert find_duplicates() == []
+        assert find_duplicates(REPO_ROOT / "src" / "repro") == []
 
 
 class TestSchemaVersioning:

@@ -1,10 +1,12 @@
-"""The shared-LLC model and its fast-path equivalence.
+"""The shared-LLC model and the fast paths' equivalence to the reference loop.
 
-The LLC's LRU state is shared across cores, so the order of LLC accesses is
-defined by the generic round-robin loop; every specialized loop in
+The generic round-robin loop (``SimulationEngine._run_round_robin``) defines
+the simulation semantics, including the order of LLC accesses (the LLC's
+LRU state is shared across cores).  Every specialized loop in
 :mod:`repro.sim._fastpath` (including the per-core loops, via event replay)
-must reproduce its ``llc_hits`` / ``memory_misses`` classification and the
-aggregate :class:`~repro.sim.llc.LLCStats` *exactly*.
+must reproduce all of its per-core counters and the aggregate
+:class:`~repro.sim.llc.LLCStats` *exactly*, on equal and on uneven
+per-core trace lengths.
 """
 
 from dataclasses import asdict
@@ -27,8 +29,9 @@ from repro.sim.prefetchers import (
     Prefetcher,
     SHIFTPrefetcher,
 )
-from repro.workloads.generator import generate_traces
+from repro.workloads.generator import WorkloadTraceGenerator, generate_traces
 from repro.workloads.suite import scaled_workload, workload_by_name
+from repro.workloads.trace import TraceSet
 
 SYSTEM = scaled_system()
 
@@ -120,6 +123,19 @@ def trace_set():
     return generate_traces(spec, SYSTEM, seed=2, num_cores=4, blocks_per_core=3_000)
 
 
+@pytest.fixture(scope="module")
+def uneven_trace_set():
+    """Different per-core trace lengths exercise the lane drop-out paths."""
+    spec = scaled_workload(workload_by_name("web_frontend"), 16)
+    generator = WorkloadTraceGenerator(spec, SYSTEM, seed=9)
+    traces = [
+        generator.core_trace(0, 3_000),
+        generator.core_trace(1, 1_500),
+        generator.core_trace(2, 2_200),
+    ]
+    return TraceSet(traces=traces, seed=9, name="uneven")
+
+
 def core_dicts(result):
     return [asdict(core) for core in result.cores]
 
@@ -129,19 +145,19 @@ def llc_dict(result):
     return asdict(result.llc)
 
 
-# Forcing shares_state=True (or subclassing the SHIFT engines) routes a
+# The backends dispatch on the exact engine type, so a subclass routes a
 # prefetcher through the generic round-robin loop, the semantic reference
-# the LLC-aware fast paths are pinned to.
+# the fast paths are pinned to.
 class _GenericBaseline(Prefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericNextLine(NextLinePrefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericPIF(PIFPrefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericSHIFT(SHIFTPrefetcher):
@@ -170,13 +186,26 @@ class TestLLCFastPathEquivalence:
             ),
         ]
 
-    def test_all_engine_families_match_generic_loop(self, trace_set):
+    @pytest.mark.parametrize("traces", ["trace_set", "uneven_trace_set"])
+    def test_all_engine_families_match_generic_loop(self, traces, request):
+        trace_set = request.getfixturevalue(traces)
         for fast, generic in self.pairs():
             fast_result = SimulationEngine(SYSTEM, fast).run(trace_set)
             generic_result = SimulationEngine(SYSTEM, generic).run(trace_set)
             name = type(fast).__name__
             assert core_dicts(fast_result) == core_dicts(generic_result), name
             assert llc_dict(fast_result) == llc_dict(generic_result), name
+
+    def test_consolidated_shift_only_trains_within_groups(self, trace_set):
+        """A core outside every group gets no prefetches (passive lane)."""
+        config = scaled_shift_config(16)
+        result = SimulationEngine(
+            SYSTEM, ConsolidatedSHIFTPrefetcher([(0, 1, 2)], config)
+        ).run(trace_set)
+        outside = result.by_core()[3]
+        assert outside.prefetches_issued == 0
+        assert outside.prefetch_hits == 0
+        assert outside.demand_hits + outside.misses == outside.accesses
 
     def test_classification_partitions_misses(self, trace_set):
         for engine, kwargs in (
@@ -188,11 +217,6 @@ class TestLLCFastPathEquivalence:
             result = simulate(trace_set, SYSTEM, engine, **kwargs)
             for core in result.cores:
                 assert core.llc_hits + core.memory_misses == core.misses
-
-    def test_model_llc_false_restores_pr1_results(self, trace_set):
-        result = simulate(trace_set, SYSTEM, "none", model_llc=False)
-        assert result.llc is None
-        assert all(c.llc_hits == 0 and c.memory_misses == 0 for c in result.cores)
 
 
 class TestHistoryVirtualization:
