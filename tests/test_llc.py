@@ -168,33 +168,62 @@ class _GenericConsolidated(ConsolidatedSHIFTPrefetcher):
     pass
 
 
+FAMILIES = ("none", "next_line", "pif", "shift", "consolidated_shift")
+
+
 class TestLLCFastPathEquivalence:
     """Fast paths vs. the generic loop: full equality, LLC counters included."""
 
     def pairs(self):
+        """Fresh (fast, generic) prefetcher pairs, keyed by engine family."""
         pif = scaled_pif_config(16)
         shift = scaled_shift_config(16)
         groups = [(0, 1), (2,)]  # core 3 stays passive
-        return [
-            (NullPrefetcher(), _GenericBaseline()),
-            (NextLinePrefetcher(), _GenericNextLine()),
-            (PIFPrefetcher(4, pif), _GenericPIF(4, pif)),
-            (SHIFTPrefetcher(4, shift), _GenericSHIFT(4, shift)),
-            (
+        return {
+            "none": (NullPrefetcher(), _GenericBaseline()),
+            "next_line": (NextLinePrefetcher(), _GenericNextLine()),
+            "pif": (PIFPrefetcher(4, pif), _GenericPIF(4, pif)),
+            "shift": (SHIFTPrefetcher(4, shift), _GenericSHIFT(4, shift)),
+            "consolidated_shift": (
                 ConsolidatedSHIFTPrefetcher(groups, shift),
                 _GenericConsolidated(groups, shift),
             ),
-        ]
+        }
 
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("traces", ["trace_set", "uneven_trace_set"])
-    def test_all_engine_families_match_generic_loop(self, traces, request):
+    def test_all_engine_families_match_generic_loop(self, traces, family, request):
         trace_set = request.getfixturevalue(traces)
-        for fast, generic in self.pairs():
-            fast_result = SimulationEngine(SYSTEM, fast).run(trace_set)
-            generic_result = SimulationEngine(SYSTEM, generic).run(trace_set)
-            name = type(fast).__name__
-            assert core_dicts(fast_result) == core_dicts(generic_result), name
-            assert llc_dict(fast_result) == llc_dict(generic_result), name
+        fast, generic = self.pairs()[family]
+        fast_result = SimulationEngine(SYSTEM, fast).run(trace_set)
+        generic_result = SimulationEngine(SYSTEM, generic).run(trace_set)
+        assert core_dicts(fast_result) == core_dicts(generic_result)
+        assert llc_dict(fast_result) == llc_dict(generic_result)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_only_subclasses_run_the_reference_loop(self, backend, trace_set, monkeypatch):
+        """The generic side of every pair is the reference loop; no fast side is.
+
+        Without this, a dispatch on ``isinstance`` would route the
+        subclasses into the fast paths too, and the equality above would
+        compare a fast path with itself.
+        """
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        reference = SimulationEngine._run_round_robin
+        calls = []
+
+        def spy(lanes, inflight, prefetcher, llc):
+            calls.append(type(prefetcher))
+            reference(lanes, inflight, prefetcher, llc)
+
+        monkeypatch.setattr(SimulationEngine, "_run_round_robin", staticmethod(spy))
+        generic_types = []
+        for fast, generic in self.pairs().values():
+            SimulationEngine(SYSTEM, fast, backend=backend).run(trace_set)
+            SimulationEngine(SYSTEM, generic, backend=backend).run(trace_set)
+            generic_types.append(type(generic))
+        assert calls == generic_types
 
     def test_consolidated_shift_only_trains_within_groups(self, trace_set):
         """A core outside every group gets no prefetches (passive lane)."""
