@@ -236,7 +236,7 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers is not None:
         if workers < 1:
             raise ConfigurationError(
-                f"worker count must be a positive integer, got {workers!r}"
+                f"worker count (--workers) must be a positive integer, got {workers!r}"
                 f" (or leave it unset / unset {WORKERS_ENV_VAR} to run serially)"
             )
         return workers

@@ -26,15 +26,14 @@ The execution *backend* is deliberately excluded: results are byte-identical
 across backends (pinned by the parity tests), so a result computed by one
 backend is valid for all.
 
-Entries follow the trace-cache v3 discipline exactly: a raw NPY ``int64``
-column (per-core counters, then LLC bank-access counts) plus a JSON sidecar
-(``r1-<sha256>.npy`` / ``.json``), published via temp file +
-:func:`os.replace` (columns before sidecar, so a visible sidecar always has
-its column), bounded by an LRU byte cap
-(``REPRO_RESULT_CACHE_MAX_BYTES``), pruned of stale format versions on
-open, and tolerant of concurrent workers — identical keys produce identical
-bytes, and any read problem (truncation, corruption, version skew) is a
-miss, never an error.
+Entries are :class:`~repro.store.EntryStore` pairs, like the trace
+cache's: an ``int64`` column (per-core counters, then LLC bank-access
+counts) plus a JSON sidecar (``r1-<sha256>.npy`` / ``.json``).  The store
+publishes them atomically, bounds the directory by an LRU byte cap
+(``REPRO_RESULT_CACHE_MAX_BYTES``), prunes stale format versions on open
+and tolerates concurrent workers — identical keys produce identical bytes,
+and any read problem (truncation, corruption, version skew) is a miss,
+never an error.
 
 The cached payload is purely integer counters, and every report metric
 (coverage, speedup, MPKI, LLC hit ratios) is derived from those integers
@@ -46,10 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
-import sys
-import tempfile
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -57,15 +53,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import envvars
 from ..config import SystemConfig
-from ..errors import ConfigurationError
 from ..sim.engine import CoreResult, SimulationResult
 from ..sim.llc import LLCStats
-from ..workloads.trace_cache import _npy_header, _parse_npy_header
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the array('q') paths
-    _np = None
+from ..store import EntryStore, int64_bytes, read_column
 
 #: Bump when the on-disk entry layout changes (key prefix + sidecar format).
 RESULT_FORMAT_VERSION = 1
@@ -91,9 +81,6 @@ MAX_BYTES_ENV_VAR = envvars.RESULT_CACHE_MAX_BYTES.name
 #: Default on-disk budget.  Result entries are a few hundred bytes of
 #: counters each, so 64 MB holds ~10^5 cells — months of sweep traffic.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-
-#: Filename prefix of current-version entries.
-_VERSION_PREFIX = f"r{RESULT_FORMAT_VERSION}-"
 
 #: Every name shape this cache family has ever written.  Pruning must not
 #: touch anything else: the directory may be shared with other
@@ -131,26 +118,6 @@ _LLC_FIELDS: Tuple[str, ...] = (
     "prefetch_misses",
     "history_reads",
 )
-
-
-def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
-    """Effective cap: explicit argument > environment > default."""
-    if max_bytes is not None:
-        if max_bytes < 0:
-            raise ConfigurationError("result cache max_bytes cannot be negative")
-        return max_bytes
-    raw = envvars.RESULT_CACHE_MAX_BYTES.read()
-    if raw is None:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{MAX_BYTES_ENV_VAR} must be an integer byte count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(f"{MAX_BYTES_ENV_VAR} cannot be negative")
-    return value
 
 
 def system_digest(system: SystemConfig) -> str:
@@ -217,26 +184,28 @@ def _result_column(result: SimulationResult) -> List[int]:
     return column
 
 
-def _result_header(result: SimulationResult, column_length: int) -> Dict[str, object]:
+def _result_header(result: SimulationResult) -> Dict[str, object]:
     llc: Optional[Dict[str, object]] = None
     if result.llc is not None:
         llc = {field: int(getattr(result.llc, field)) for field in _LLC_FIELDS}
         llc["bank_accesses_len"] = len(result.llc.bank_accesses)
     return {
-        "format": "repro-simulation-result",
-        "version": RESULT_FORMAT_VERSION,
         "prefetcher_name": result.prefetcher_name,
         "storage_bytes_per_core": int(result.storage_bytes_per_core),
         "core_fields": list(_CORE_FIELDS),
         "num_cores": len(result.cores),
         "llc": llc,
-        "total": column_length,
     }
 
 
-def _result_from_entry(header: Dict[str, object], column, system: SystemConfig) -> SimulationResult:
+def _result_from_entry(
+    header: Dict[str, object], column_path: Path, system: SystemConfig
+) -> SimulationResult:
     if list(header["core_fields"]) != list(_CORE_FIELDS):
         raise ValueError("entry was written with a different counter layout")
+    # Result columns are tiny (a dozen ints per core): read eagerly, never
+    # memory-mapped.
+    column = read_column(column_path, int(header["total"]))
     num_cores = int(header["num_cores"])
     width = len(_CORE_FIELDS)
     cores: List[CoreResult] = []
@@ -264,45 +233,15 @@ def _result_from_entry(header: Dict[str, object], column, system: SystemConfig) 
     )
 
 
-def _column_blob(values: List[int]) -> bytes:
-    """Little-endian int64 bytes of a python integer list."""
-    if _np is not None:
-        return _np.asarray(values, dtype="<i8").tobytes()
-    from array import array
-
-    column = array("q", values)
-    if sys.byteorder == "big":  # pragma: no cover - BE hosts
-        column.byteswap()
-    return column.tobytes()
-
-
-def _load_column(path: Path, total: int) -> List[int]:
-    """The entry's integer column as plain python ints; raises on mismatch.
-
-    Result columns are tiny (a dozen ints per core), so unlike trace columns
-    they are read eagerly, never memory-mapped.
-    """
-    blob = path.read_bytes()
-    offset, count = _parse_npy_header(blob)
-    if count != total or len(blob) - offset != 8 * total:
-        raise ValueError("column file does not match its sidecar")
-    from array import array
-
-    column = array("q")
-    column.frombytes(blob[offset:])
-    if sys.byteorder == "big":  # pragma: no cover - BE hosts
-        column.byteswap()
-    return list(column)
-
-
 class ResultCache:
     """A bounded directory of content-addressed simulation results.
 
-    The same discipline as :class:`~repro.workloads.trace_cache.TraceCache`:
-    atomic publication, LRU byte cap, stale-version pruning, and total
-    tolerance of concurrent workers and damaged entries (any read problem is
-    a miss).  ``hits`` / ``misses`` / ``stored`` / ``evicted`` count this
-    process's traffic and feed the report and service statistics.
+    The same :class:`~repro.store.EntryStore` upkeep as
+    :class:`~repro.workloads.trace_cache.TraceCache`: atomic publication,
+    LRU byte cap, stale-version pruning, and total tolerance of concurrent
+    workers and damaged entries (any read problem is a miss).  ``hits`` /
+    ``misses`` / ``stored`` / ``evicted`` count this process's traffic and
+    feed the report and service statistics.
     """
 
     def __init__(
@@ -311,8 +250,17 @@ class ResultCache:
         max_bytes: Optional[int] = None,
         code_version: str = SIM_CODE_VERSION,
     ) -> None:
-        self._directory = Path(directory)
-        self._max_bytes = _resolve_max_bytes(max_bytes)
+        #: The entry files and their upkeep (:mod:`repro.store`).
+        self.disk = EntryStore(
+            directory,
+            prefix=f"r{RESULT_FORMAT_VERSION}-",
+            sidecar_format="repro-simulation-result",
+            version=RESULT_FORMAT_VERSION,
+            names=_ENTRY_NAME_RE,
+            max_bytes=max_bytes,
+            max_bytes_var=envvars.RESULT_CACHE_MAX_BYTES,
+            default_max_bytes=DEFAULT_MAX_BYTES,
+        )
         self._code_version = code_version
         #: Guards the traffic counters: one ResultCache is shared by every
         #: job thread of a ``repro.serve`` deployment, and unsynchronized
@@ -324,17 +272,16 @@ class ResultCache:
         self.misses = 0
         self.stored = 0
         self.evicted = 0
-        self._prune_stale_versions()
 
     @property
     def directory(self) -> Path:
         """The cache's root directory (created on first store)."""
-        return self._directory
+        return self.disk.directory
 
     @property
     def max_bytes(self) -> int:
         """Size cap in bytes (0 = unlimited)."""
-        return self._max_bytes
+        return self.disk.max_bytes
 
     @property
     def code_version(self) -> str:
@@ -357,92 +304,11 @@ class ResultCache:
 
     def usage(self) -> Dict[str, int]:
         """Current on-disk footprint: entry count and total bytes."""
-        entries = self._entries_by_age()
+        entries = self.disk.entries_by_age()
         return {
             "entries": len(entries),
             "bytes": sum(size for _mtime, size, _key in entries),
         }
-
-    def _column_path(self, key: str) -> Path:
-        return self._directory / f"{_VERSION_PREFIX}{key}.npy"
-
-    def _sidecar_path(self, key: str) -> Path:
-        return self._directory / f"{_VERSION_PREFIX}{key}.json"
-
-    def _prune_stale_versions(self) -> None:
-        """Drop entries of *older* format versions; leave newer ones alone
-        (a newer checkout sharing the directory still needs them)."""
-        try:
-            entries = list(self._directory.iterdir())
-        except OSError:
-            return
-        for path in entries:
-            match = _ENTRY_NAME_RE.match(path.name)
-            if match is None or int(match.group(1)) >= RESULT_FORMAT_VERSION:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # already pruned by a sibling worker, or EPERM
-                pass
-
-    def _entries_by_age(self) -> List[Tuple[float, int, str]]:
-        """Current-version entries as (mtime, size, key), oldest first; the
-        sidecar is the unit of existence, orphan columns age out first."""
-        entries: List[Tuple[float, int, str]] = []
-        seen_keys = set()
-        try:
-            sidecars = list(self._directory.glob(f"{_VERSION_PREFIX}*.json"))
-            columns = list(self._directory.glob(f"{_VERSION_PREFIX}*.npy"))
-        except OSError:
-            return entries
-        for sidecar in sidecars:
-            key = sidecar.name[len(_VERSION_PREFIX) : -len(".json")]
-            try:
-                stat = sidecar.stat()
-            except OSError:  # vanished between glob and stat
-                continue
-            seen_keys.add(key)
-            size = stat.st_size
-            try:
-                size += self._column_path(key).stat().st_size
-            except OSError:
-                pass
-            entries.append((stat.st_mtime, size, key))
-        for column in columns:
-            key = column.name[len(_VERSION_PREFIX) : -len(".npy")]
-            if key in seen_keys:
-                continue
-            try:
-                stat = column.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, key))
-        entries.sort()
-        return entries
-
-    def _remove_entry(self, key: str) -> bool:
-        """Delete one entry, sidecar first; concurrent deletion is fine."""
-        removed = False
-        for path in (self._sidecar_path(key), self._column_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                continue
-        return removed
-
-    def _enforce_cap(self) -> None:
-        if not self._max_bytes:
-            return
-        entries = self._entries_by_age()
-        total = sum(size for _mtime, size, _key in entries)
-        for _mtime, size, key in entries:
-            if total <= self._max_bytes:
-                break
-            if self._remove_entry(key):
-                with self._lock:
-                    self.evicted += 1
-            total -= size
 
     def load(self, key: str, system: SystemConfig) -> Optional[SimulationResult]:
         """The cached result for ``key``, rebuilt against ``system``.
@@ -452,68 +318,26 @@ class ResultCache:
         config is by construction the one the result was computed against.
         Any inconsistency on disk is a miss, never an error.
         """
-        sidecar_path = self._sidecar_path(key)
-        column_path = self._column_path(key)
-        try:
-            header = json.loads(sidecar_path.read_text())
-            if (
-                not isinstance(header, dict)
-                or header.get("format") != "repro-simulation-result"
-                or header.get("version") != RESULT_FORMAT_VERSION
-            ):
-                raise ValueError("unrecognized sidecar")
-            column = _load_column(column_path, int(header["total"]))
-            result = _result_from_entry(header, column, system)
-        except (OSError, ValueError, KeyError, TypeError, SyntaxError):
-            with self._lock:
-                self.misses += 1
-            return None
-        for path in (sidecar_path, column_path):
-            try:
-                os.utime(path)  # LRU touch: protect hot entries from eviction
-            except OSError:
-                pass
+        result = self.disk.load(
+            key, lambda header, column_path: _result_from_entry(header, column_path, system)
+        )
         with self._lock:
-            self.hits += 1
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return result
 
     def store(self, key: str, result: SimulationResult) -> None:
         """Atomically publish ``result`` under ``key``; best-effort."""
-        column = _result_column(result)
-        header = _result_header(result, len(column))
-        try:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            self._replace_with_temp(
-                key,
-                self._column_path(key),
-                _npy_header(len(column)) + _column_blob(column),
-            )
-            self._replace_with_temp(
-                key,
-                self._sidecar_path(key),
-                json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
-            )
-        except OSError:
-            # A read-only or full filesystem must not fail the experiment.
+        evicted = self.disk.publish(
+            key, _result_header(result), [int64_bytes(_result_column(result))]
+        )
+        if evicted is None:
             return
         with self._lock:
             self.stored += 1
-        self._enforce_cap()
-
-    def _replace_with_temp(self, key: str, destination: Path, blob: bytes) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"{key}.", suffix=".tmp", dir=self._directory
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            self.evicted += evicted
 
 
 def as_result_cache(cache: "ResultCache | str | Path | None") -> Optional[ResultCache]:

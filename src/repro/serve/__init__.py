@@ -57,7 +57,9 @@ from typing import Dict, List, Optional, Tuple
 from .. import envvars
 from ..errors import ConfigurationError, ReproError
 from ..experiments import run_experiment
+from ..experiments.cells import resolve_workers
 from ..results import ResultCache, as_result_cache
+from ..sim.backends import get_backend
 from ..sweeps import run_sweep
 
 #: Request kinds the service accepts, mapped to their driver below.
@@ -198,10 +200,17 @@ class ExperimentService:
     ) -> None:
         if job_threads < 1:
             raise ConfigurationError("the service needs at least one job thread")
+        # Resolve every execution setting now: a bad one must stop the
+        # service at startup, not fail each job it accepts.
+        resolve_workers(workers)
         self._workers = workers
+        self._backend = get_backend(backend).name
+        if self._backend == "numpy":
+            from ..sim.backends.numpy_backend import memo_max
+
+            memo_max()
         self._trace_cache = trace_cache
         self._result_cache = as_result_cache(result_cache)
-        self._backend = backend
         self._chunk_blocks = chunk_blocks
         self._job_threads = job_threads
         self._retained_jobs = _resolve_retained_jobs(retained_jobs)

@@ -37,10 +37,10 @@ LLC statistics against the generic round-robin loop
 (:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`).  Any
 semantic change here that is not mirrored there is a bug.
 
-These loops are the ``python`` backend of :mod:`repro.sim.backends` — the
-reference implementation every other backend (e.g. the vectorized
-``numpy`` one) is pinned against, and the exact fallback those backends
-use where their assumptions do not hold.
+These loops are the ``python`` backend of :mod:`repro.sim.backends` and
+the exact fallback the vectorized ``numpy`` backend uses where its
+assumptions do not hold; the reference both are pinned against is the
+generic round-robin loop.
 """
 
 from __future__ import annotations

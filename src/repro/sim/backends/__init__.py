@@ -5,15 +5,18 @@ The simulation *semantics* live in :mod:`repro.sim.prefetchers`,
 execution strategy for replaying the traces through them.  Two ship here:
 
 * ``python`` — the per-family inlined CPython loops of
-  :mod:`repro.sim._fastpath` (the reference implementation);
-* ``numpy`` — batch-vectorized array passes for the state-private engine
-  families (baseline, next-line, PIF), falling back per-event — and, for
-  SHIFT's shared-history round-robin, entirely — to the Python loops.
+  :mod:`repro.sim._fastpath`;
+* ``numpy`` — batch-vectorized array passes for every built-in engine
+  family (SHIFT's shared-history round-robin split into epochs at its
+  history-append boundaries), falling back to the Python loops for
+  custom prefetchers and geometries outside the closed forms.
 
 Backends never change results: every counter, the prefetcher's mutable
 state, the prefetch-buffer contents and the LLC statistics are exactly
-those of the reference round-robin loop, so experiment reports are
-byte-identical across backends (``tests/test_backends.py`` pins this).
+those of the reference round-robin loop
+(:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`), so
+experiment reports are byte-identical across backends
+(``tests/test_backends.py`` pins this).
 Selection is ``--backend`` / ``backend=`` > ``REPRO_BACKEND`` > ``python``.
 """
 

@@ -1,7 +1,7 @@
 """NumPy-vectorized simulation backend.
 
 The key structural facts this backend exploits, each of which preserves
-*exact* equality with the Python reference loops:
+*exact* equality with the Python reference loop:
 
 * **L1-I evolution is engine-independent.**  Every engine family handles a
   demand access the same way: LRU-touch on a hit, fill-at-MRU otherwise
@@ -162,28 +162,31 @@ _RECORD_CACHE_MAX = 512
 _LLC_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _LLC_CACHE_MAX = 512
 
-#: One lock guards every memo in this module.  The caches are read and
-#: written from the chunked engine's prewarm helper thread concurrently
-#: with the replay thread, and worker processes each hold their own copy,
-#: so a single coarse lock costs nothing measurable and keeps every
-#: get/put atomic.
+#: One lock guards every memo in this module.  ``repro.serve --job-threads
+#: N`` runs jobs on concurrent threads that share these memos (worker
+#: processes each hold their own copy), so a single coarse lock keeps every
+#: get/put atomic at no measurable cost.
 _MEMO_LOCK = threading.Lock()
 
 
-def _memo_limit(default: int) -> int:
-    """The effective LRU entry cap: ``REPRO_NUMPY_MEMO_MAX`` or the default."""
+def memo_max() -> Optional[int]:
+    """The ``REPRO_NUMPY_MEMO_MAX`` entry cap of every memo, or None when
+    unset (each memo keeps its own default).
+
+    Raises :class:`ConfigurationError` naming the variable on a value that
+    is not a positive integer.  Every run checks it, so a bad value fails
+    memo-warm runs too, not only the runs that store an entry.
+    """
     raw = envvars.NUMPY_MEMO_MAX.read()
     if raw is None:
-        return default
+        return None
     try:
         limit = int(raw)
     except ValueError:
-        raise ConfigurationError(
-            f"REPRO_NUMPY_MEMO_MAX must be a positive integer, got {raw!r}"
-        ) from None
+        limit = 0
     if limit < 1:
         raise ConfigurationError(
-            f"REPRO_NUMPY_MEMO_MAX must be a positive integer, got {raw!r}"
+            f"{envvars.NUMPY_MEMO_MAX.name} must be a positive integer, got {raw!r}"
         )
     return limit
 
@@ -197,7 +200,7 @@ def _cache_get(cache: "OrderedDict", key):
 
 
 def _cache_put(cache: "OrderedDict", limit: int, key, value) -> None:
-    limit = _memo_limit(limit)
+    limit = memo_max() or limit
     with _MEMO_LOCK:
         cache[key] = value
         cache.move_to_end(key)
@@ -2222,6 +2225,7 @@ class NumPyBackend(Backend):
         self._python = PythonBackend()
 
     def run(self, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
+        memo_max()  # a memo-warm run stores nothing, so check the cap here
         ptype = type(prefetcher)
         try:
             if ptype is NullPrefetcher or ptype is Prefetcher:
@@ -2242,47 +2246,5 @@ class NumPyBackend(Backend):
             pass
         self._python.run(lanes, inflight, prefetcher, llc)
 
-    def prewarm(self, traces, l1_config) -> None:
-        """Precompute trace-pure per-lane arrays for upcoming windows.
 
-        The chunked engine calls this on a helper thread with chunk
-        ``k+1``'s trace windows while chunk ``k`` replays, overlapping the
-        fingerprint/argsort/forward-fill work with the event loops.  Only
-        the fresh (state-independent) arrays can be built ahead of time —
-        warm overlays need the not-yet-known chunk-``k`` final state, but
-        they are thin derivations on top of these.  Best-effort: anything
-        unsupported simply stays cold and is handled at run time.
-        """
-        for trace in traces:
-            try:
-                a, fingerprint = _trace_columns(trace)
-                key = (fingerprint, l1_config.num_sets, l1_config.associativity)
-                if _cache_get(_ARRAY_CACHE, key) is None:
-                    arrays = _LaneArrays(
-                        a, l1_config.num_sets, l1_config.associativity, fingerprint
-                    )
-                    _cache_put(_ARRAY_CACHE, _ARRAY_CACHE_MAX, key, arrays)
-            except _Unsupported:
-                continue
-
-    def prewarm_pending(self, traces, l1_config) -> bool:
-        """True when any window's base arrays are not yet memoized.
-
-        Fingerprinting a window is microseconds (one SHA-256 over the
-        column view) against the ~hundred-microsecond cost of spawning and
-        joining the prewarm thread, so the chunked engine probes this
-        before every boundary and skips the thread in the warm steady
-        state.
-        """
-        for trace in traces:
-            try:
-                _a, fingerprint = _trace_columns(trace)
-            except _Unsupported:
-                continue
-            key = (fingerprint, l1_config.num_sets, l1_config.associativity)
-            if _cache_get(_ARRAY_CACHE, key) is None:
-                return True
-        return False
-
-
-__all__ = ["NumPyBackend"]
+__all__ = ["NumPyBackend", "memo_max"]

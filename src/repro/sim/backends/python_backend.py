@@ -1,9 +1,10 @@
 """The pure-Python backend: the specialized loops of :mod:`repro.sim._fastpath`.
 
-This backend is the reference implementation every other backend is pinned
-against.  It dispatches on the exact prefetcher type — subclasses may
-override ``on_access`` and must fall through to the generic round-robin
-loop — and otherwise runs the inlined per-family loops.
+It dispatches on the exact prefetcher type — subclasses may override
+``on_access`` and must fall through to the generic round-robin loop
+(:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`, the
+reference every backend is pinned against) — and otherwise runs the
+inlined per-family loops.
 """
 
 from __future__ import annotations

@@ -8,20 +8,16 @@ repeated ``--check`` runs) the same cells recur constantly.  Worker processes
 of the parallel executor coordinate purely through this cache — the first
 process to need a trace generates and publishes it, later ones load it.
 
-Format v3 stores each entry as two files (the PR-2 pickle era is over):
-
-``v3-<sha256>.npy``
-    Every core's address column concatenated into one contiguous
-    little-endian ``int64`` array, written as a standard NPY v1.0 file.
-    The header is hand-rolled (:func:`_npy_header`) so the bytes are
-    identical whether or not NumPy is installed — caches written by the
-    pure-Python fallback and by NumPy hosts interoperate.
-``v3-<sha256>.json``
-    The sidecar header: per-core (offset, length) slices plus the trace
-    metadata the columns cannot carry — core ids, workloads, request
-    counts, content fingerprints, the address layouts and the set-level
-    fields.  An entry is complete once its sidecar exists; writers publish
-    the ``.npy`` first, so a visible sidecar always has its columns.
+Format v3 stores each entry as a :class:`~repro.store.EntryStore` pair:
+``v3-<sha256>.npy`` holds every core's
+address column concatenated into one little-endian ``int64`` column, and
+``v3-<sha256>.json`` holds the per-core (offset, length) slices plus the
+trace metadata the columns cannot carry — core ids, workloads, request
+counts, content fingerprints, the address layouts and the set-level
+fields.  The store owns publication, the LRU byte cap
+(:data:`DEFAULT_MAX_BYTES`, overridden per cache with ``max_bytes=`` or
+globally with ``REPRO_TRACE_CACHE_MAX_BYTES``; ``0`` disables it),
+stale-version pruning and the tolerance of concurrent workers.
 
 :meth:`TraceCache.load` memory-maps the column file read-only (NumPy
 ``mmap_mode="r"``): the per-core :class:`~repro.workloads.trace.CoreTrace`
@@ -30,39 +26,20 @@ processes loading the same entry share one page-cache copy instead of N
 private deserialized lists.  Sidecar fingerprints ride along — verified
 against the column bytes on load, since the numpy backend keys cross-run
 precompute memos on them — which keeps those memos warm across loads.
-
-Concurrent workers are safe by construction: the SHA-256 key covers every
-input that can influence generation, so two writers of one key produce
-identical bytes; writes go through a temporary file and :func:`os.replace`
-(atomic on POSIX); and every maintenance pass — version pruning, the LRU
-size cap — tolerates entries another worker already deleted
-(``FileNotFoundError`` is expected, not exceptional).  A cache entry is an
-optimization only: any read problem falls back to regeneration.
-
-The cache is bounded: opening it prunes entries left by *older* format
-versions (their keys can never be requested again), and after every store
-the total size is capped at :data:`DEFAULT_MAX_BYTES` (override per cache
-with ``max_bytes=`` or globally with ``REPRO_TRACE_CACHE_MAX_BYTES``;
-``0`` disables the cap).  Eviction is least-recently-used: loads bump an
-entry's mtime, and the oldest entries are removed first.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
-import os
 import re
-import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .. import envvars
 from ..config import SystemConfig
-from ..errors import ConfigurationError, ReproError
+from ..store import EntryStore, read_column
 from .address_space import AddressWindow, WorkloadAddressLayout
 from .suite import WorkloadSpec
 from .trace import CoreTrace, TraceSet, _column_bytes, column_fingerprint
@@ -86,9 +63,6 @@ MAX_BYTES_ENV_VAR = envvars.TRACE_CACHE_MAX_BYTES.name
 #: keeping an unattended sweep box from filling its disk.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-#: Filename prefix of current-version entries.
-_VERSION_PREFIX = f"v{CACHE_FORMAT_VERSION}-"
-
 #: Name shapes this cache family has ever written: the v3+ binary pair
 #: ``v<N>-<sha256>.npy`` / ``.json``, the PR-2/4 pickle ``v<N>-<sha256>.pkl``
 #: and the PR-2-era bare ``<sha256>.pkl`` (the *only* unversioned shape we
@@ -98,29 +72,6 @@ _VERSION_PREFIX = f"v{CACHE_FORMAT_VERSION}-"
 _ENTRY_NAME_RE = re.compile(
     r"^(?:v(\d+)-[0-9a-f]{64}\.(?:pkl|npy|json)|[0-9a-f]{64}\.pkl)$"
 )
-
-#: NPY v1.0 magic + version, shared by the hand-rolled writer and parser.
-_NPY_MAGIC = b"\x93NUMPY\x01\x00"
-
-
-def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
-    """Effective cap: explicit argument > environment > default."""
-    if max_bytes is not None:
-        if max_bytes < 0:
-            raise ConfigurationError("trace cache max_bytes cannot be negative")
-        return max_bytes
-    raw = envvars.TRACE_CACHE_MAX_BYTES.read()
-    if raw is None:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{MAX_BYTES_ENV_VAR} must be an integer byte count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(f"{MAX_BYTES_ENV_VAR} cannot be negative")
-    return value
 
 
 def trace_cache_key(
@@ -151,60 +102,6 @@ def trace_cache_key(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     )
     return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# NPY column file
-
-
-def _npy_header(count: int) -> bytes:
-    """A standard NPY v1.0 header for a 1-D little-endian ``int64`` array.
-
-    Hand-rolled (rather than ``np.lib.format``) so the on-disk bytes do not
-    depend on NumPy's presence or version: the header dict text is fixed and
-    padded with spaces to the usual 64-byte alignment.
-    """
-    header = "{'descr': '<i8', 'fortran_order': False, 'shape': (%d,), }" % count
-    raw = header.encode("latin1")
-    pad = -(len(_NPY_MAGIC) + 2 + len(raw) + 1) % 64
-    raw += b" " * pad + b"\n"
-    return _NPY_MAGIC + len(raw).to_bytes(2, "little") + raw
-
-
-def _parse_npy_header(blob: bytes) -> Tuple[int, int]:
-    """Return ``(data_offset, count)`` of a v1.0 int64 NPY file, or raise."""
-    if blob[: len(_NPY_MAGIC)] != _NPY_MAGIC:
-        raise ValueError("not an NPY v1.0 file")
-    header_len = int.from_bytes(blob[len(_NPY_MAGIC) : len(_NPY_MAGIC) + 2], "little")
-    start = len(_NPY_MAGIC) + 2
-    info = ast.literal_eval(blob[start : start + header_len].decode("latin1"))
-    if info.get("descr") != "<i8" or info.get("fortran_order"):
-        raise ValueError(f"unsupported NPY layout: {info!r}")
-    shape = info.get("shape")
-    if not (isinstance(shape, tuple) and len(shape) == 1):
-        raise ValueError(f"expected a 1-D column, got shape {shape!r}")
-    return start + header_len, int(shape[0])
-
-
-def _load_column(path: Path, total: int):
-    """The entry's concatenated column: memory-mapped with NumPy, read into
-    an ``array('q')`` otherwise.  Raises on any mismatch."""
-    if _np is not None:
-        column = _np.load(path, mmap_mode="r")
-        if column.dtype != _np.dtype("<i8") or column.ndim != 1 or column.size != total:
-            raise ValueError("column file does not match its sidecar")
-        return column
-    from array import array
-
-    blob = Path(path).read_bytes()
-    offset, count = _parse_npy_header(blob)
-    if count != total or len(blob) - offset != 8 * total:
-        raise ValueError("column file does not match its sidecar")
-    column = array("q")
-    column.frombytes(blob[offset:])
-    if sys.byteorder == "big":  # pragma: no cover - BE hosts
-        column.byteswap()
-    return column
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +150,6 @@ def _sidecar_payload(trace_set: TraceSet) -> Dict[str, object]:
         )
         offset += length
     return {
-        "format": "repro-trace-set",
-        "version": CACHE_FORMAT_VERSION,
-        "total": offset,
         "cores": cores,
         "layouts": [_layout_to_dict(layout) for layout in trace_set.layouts],
         "seed": trace_set.seed,
@@ -266,7 +160,18 @@ def _sidecar_payload(trace_set: TraceSet) -> Dict[str, object]:
     }
 
 
-def _trace_set_from_sidecar(header: Dict[str, object], column) -> TraceSet:
+def _trace_set_from_sidecar(header: Dict[str, object], column_path: Path) -> TraceSet:
+    """The entry's trace set: with NumPy the column file is memory-mapped
+    read-only and each core's trace is a zero-copy slice of the map, so
+    concurrent workers share the kernel page cache; without NumPy it is
+    read eagerly.  Raises on any mismatch."""
+    total = int(header["total"])
+    if _np is None:
+        column = read_column(column_path, total)
+    else:
+        column = _np.load(column_path, mmap_mode="r")
+        if column.dtype != _np.dtype("<i8") or column.ndim != 1 or column.size != total:
+            raise ValueError("column file does not match its sidecar")
     traces = []
     for core in header["cores"]:
         offset = int(core["offset"])
@@ -308,204 +213,47 @@ class TraceCache:
         directory: "str | Path" = DEFAULT_CACHE_DIR,
         max_bytes: Optional[int] = None,
     ) -> None:
-        self._directory = Path(directory)
-        self._max_bytes = _resolve_max_bytes(max_bytes)
+        #: The entry files and their upkeep (:mod:`repro.store`).
+        self.disk = EntryStore(
+            directory,
+            prefix=f"v{CACHE_FORMAT_VERSION}-",
+            sidecar_format="repro-trace-set",
+            version=CACHE_FORMAT_VERSION,
+            names=_ENTRY_NAME_RE,
+            max_bytes=max_bytes,
+            max_bytes_var=envvars.TRACE_CACHE_MAX_BYTES,
+            default_max_bytes=DEFAULT_MAX_BYTES,
+        )
         self.hits = 0
         self.misses = 0
         self.evicted = 0
-        self._prune_stale_versions()
-
-    @property
-    def directory(self) -> Path:
-        return self._directory
 
     @property
     def max_bytes(self) -> int:
         """Size cap in bytes (0 = unlimited)."""
-        return self._max_bytes
-
-    def _column_path(self, key: str) -> Path:
-        return self._directory / f"{_VERSION_PREFIX}{key}.npy"
-
-    def _sidecar_path(self, key: str) -> Path:
-        return self._directory / f"{_VERSION_PREFIX}{key}.json"
-
-    def _prune_stale_versions(self) -> None:
-        """Drop entries written by *older* format versions — this version
-        will never request their keys again — including every ``.pkl`` of
-        the pickle era.  Entries from newer versions are left alone: a newer
-        checkout sharing the directory still needs them, and deleting them
-        would make the two checkouts wipe each other's caches on every open.
-        Best-effort and concurrency-tolerant, like every other filesystem
-        operation here."""
-        try:
-            entries = list(self._directory.iterdir())
-        except OSError:
-            return
-        for path in entries:
-            match = _ENTRY_NAME_RE.match(path.name)
-            if match is None:
-                continue
-            version = int(match.group(1)) if match.group(1) else 0
-            if version >= CACHE_FORMAT_VERSION:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # already pruned by a sibling worker, or EPERM
-                pass
-
-    def _entries_by_age(self) -> List[Tuple[float, int, str]]:
-        """Current-version entries as (mtime, total size, key), oldest first.
-
-        The sidecar is the unit of entry existence; its mtime is the LRU
-        clock and the column file's size is added to the entry's footprint.
-        Column files without a sidecar (a crash or full disk between the
-        two publishes, or a half-failed eviction) are listed as entries of
-        their own so the size cap sees — and eventually reclaims — their
-        bytes; nothing ever loads an orphan, so it ages out first.
-        Entries deleted by a concurrent worker mid-listing are skipped.
-        """
-        entries: List[Tuple[float, int, str]] = []
-        seen_keys = set()
-        try:
-            sidecars = list(self._directory.glob(f"{_VERSION_PREFIX}*.json"))
-            columns = list(self._directory.glob(f"{_VERSION_PREFIX}*.npy"))
-        except OSError:
-            return entries
-        for sidecar in sidecars:
-            key = sidecar.name[len(_VERSION_PREFIX) : -len(".json")]
-            size = 0
-            try:
-                stat = sidecar.stat()
-            except OSError:  # vanished between glob and stat
-                continue
-            seen_keys.add(key)
-            size += stat.st_size
-            try:
-                size += self._column_path(key).stat().st_size
-            except OSError:
-                pass
-            entries.append((stat.st_mtime, size, key))
-        for column in columns:
-            key = column.name[len(_VERSION_PREFIX) : -len(".npy")]
-            if key in seen_keys:
-                continue
-            try:
-                stat = column.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, key))
-        entries.sort()
-        return entries
-
-    def _remove_entry(self, key: str) -> bool:
-        """Delete one entry (sidecar first, so readers never see a sidecar
-        without having had its columns).  True if this process removed it;
-        a concurrent worker winning the race counts as already-removed."""
-        removed = False
-        for path in (self._sidecar_path(key), self._column_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except FileNotFoundError:
-                continue
-            except OSError:
-                continue
-        return removed
-
-    def _enforce_cap(self) -> None:
-        if not self._max_bytes:
-            return
-        entries = self._entries_by_age()
-        total = sum(size for _mtime, size, _key in entries)
-        for _mtime, size, key in entries:
-            if total <= self._max_bytes:
-                break
-            # Whether this worker or a concurrent one deleted the files,
-            # the bytes are gone — count them against the total either way.
-            if self._remove_entry(key):
-                self.evicted += 1
-            total -= size
+        return self.disk.max_bytes
 
     def load(self, key: str) -> Optional[TraceSet]:
         """Return the cached trace set for ``key``, or None.
 
-        With NumPy the column file is memory-mapped read-only and the
-        per-core traces are zero-copy slices: concurrent workers share the
-        kernel page cache.  Any inconsistency — missing files, truncation,
-        corrupt JSON, mismatched sizes — is a miss, never an error.
+        Any inconsistency — missing files, truncation, corrupt JSON,
+        mismatched sizes or fingerprints — is a miss, never an error.
         """
-        sidecar_path = self._sidecar_path(key)
-        column_path = self._column_path(key)
-        try:
-            header = json.loads(sidecar_path.read_text())
-            if (
-                not isinstance(header, dict)
-                or header.get("format") != "repro-trace-set"
-                or header.get("version") != CACHE_FORMAT_VERSION
-            ):
-                raise ValueError("unrecognized sidecar")
-            column = _load_column(column_path, int(header["total"]))
-            trace_set = _trace_set_from_sidecar(header, column)
-        except (OSError, ValueError, KeyError, TypeError, SyntaxError, ReproError):
-            # ReproError covers CoreTrace/TraceSet/AddressWindow validation
-            # rejecting a parseable-but-damaged sidecar (e.g. a zeroed
-            # instructions_per_block) — a miss like every other corruption.
+        trace_set = self.disk.load(key, _trace_set_from_sidecar)
+        if trace_set is None:
             self.misses += 1
-            return None
-        for path in (sidecar_path, column_path):
-            try:
-                os.utime(path)  # LRU touch: protect hot entries from eviction
-            except OSError:
-                pass
-        self.hits += 1
+        else:
+            self.hits += 1
         return trace_set
 
     def store(self, key: str, trace_set: TraceSet) -> None:
-        """Atomically publish ``trace_set`` under ``key``; best-effort.
-
-        Both files go through write-to-temp + :func:`os.replace`, columns
-        before sidecar, so readers only ever observe complete entries and
-        concurrent writers of the same key (which produce identical bytes)
-        cannot corrupt each other.
-        """
-        header = _sidecar_payload(trace_set)
-        try:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            self._replace_with_temp(key, self._column_path(key), self._column_blobs(trace_set))
-            self._replace_with_temp(
-                key,
-                self._sidecar_path(key),
-                [json.dumps(header, sort_keys=True, separators=(",", ":")).encode()],
-            )
-        except OSError:
-            # A read-only or full filesystem must not fail the experiment.
-            return
-        self._enforce_cap()
-
-    @staticmethod
-    def _column_blobs(trace_set: TraceSet) -> List[bytes]:
-        """The NPY file contents as chunks (header, then each core's bytes)."""
-        blobs: List[bytes] = [_npy_header(trace_set.total_accesses)]
-        for trace in trace_set.traces:
-            blobs.append(_column_bytes(trace.array))
-        return blobs
-
-    def _replace_with_temp(self, key: str, destination: Path, blobs) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"{key}.", suffix=".tmp", dir=self._directory
+        """Atomically publish ``trace_set`` under ``key``; best-effort."""
+        evicted = self.disk.publish(
+            key,
+            _sidecar_payload(trace_set),
+            [_column_bytes(trace.array) for trace in trace_set.traces],
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for blob in blobs:
-                    handle.write(blob)
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        self.evicted += evicted or 0
 
 
 __all__ = [

@@ -473,11 +473,13 @@ class TestNumpyMemoCap:
     @pytest.mark.parametrize("raw", ["0", "abc"])
     def test_invalid_memo_max_is_rejected(self, monkeypatch, raw):
         pytest.importorskip("numpy")
-        # A trace no other test simulates, so the run must store a memo entry.
         spec = scaled_workload(workload_by_name("media_streaming"), 16)
         trace_set = generate_traces(
             spec, SYSTEM, seed=7_001, num_cores=2, blocks_per_core=400
         )
+        # Memo-warm: the rejected run finds every entry it needs, so it
+        # would store none, and the cap is still checked.
+        simulate(trace_set, SYSTEM, "none", backend="numpy")
         monkeypatch.setenv("REPRO_NUMPY_MEMO_MAX", raw)
         with pytest.raises(ConfigurationError, match="REPRO_NUMPY_MEMO_MAX"):
             simulate(trace_set, SYSTEM, "none", backend="numpy")

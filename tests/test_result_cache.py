@@ -134,32 +134,32 @@ class TestCorruption:
 
     def test_corrupt_sidecar_is_a_miss(self, tmp_path):
         cache, key, result = self._stored(tmp_path)
-        cache._sidecar_path(key).write_text("{not json")
+        cache.disk.sidecar_path(key).write_text("{not json")
         assert cache.load(key, result.system) is None
 
     def test_wrong_sidecar_version_is_a_miss(self, tmp_path):
         cache, key, result = self._stored(tmp_path)
-        header = json.loads(cache._sidecar_path(key).read_text())
+        header = json.loads(cache.disk.sidecar_path(key).read_text())
         header["version"] = 99
-        cache._sidecar_path(key).write_text(json.dumps(header))
+        cache.disk.sidecar_path(key).write_text(json.dumps(header))
         assert cache.load(key, result.system) is None
 
     def test_truncated_column_is_a_miss(self, tmp_path):
         cache, key, result = self._stored(tmp_path)
-        blob = cache._column_path(key).read_bytes()
-        cache._column_path(key).write_bytes(blob[:-8])
+        blob = cache.disk.column_path(key).read_bytes()
+        cache.disk.column_path(key).write_bytes(blob[:-8])
         assert cache.load(key, result.system) is None
 
     def test_foreign_counter_layout_is_a_miss(self, tmp_path):
         cache, key, result = self._stored(tmp_path)
-        header = json.loads(cache._sidecar_path(key).read_text())
+        header = json.loads(cache.disk.sidecar_path(key).read_text())
         header["core_fields"] = ["mystery"]
-        cache._sidecar_path(key).write_text(json.dumps(header))
+        cache.disk.sidecar_path(key).write_text(json.dumps(header))
         assert cache.load(key, result.system) is None
 
     def test_missing_column_is_a_miss(self, tmp_path):
         cache, key, result = self._stored(tmp_path)
-        cache._column_path(key).unlink()
+        cache.disk.column_path(key).unlink()
         assert cache.load(key, result.system) is None
 
 
@@ -177,11 +177,11 @@ class TestBounds:
         # Unlimited cache keeps both entries, LRU touch updates mtime.
         cache = ResultCache(tmp_path, max_bytes=0)
         cache.store("b" * 64, result)
-        before = cache._sidecar_path("b" * 64).stat().st_mtime
+        before = cache.disk.sidecar_path("b" * 64).stat().st_mtime
         time.sleep(0.01)
-        os.utime(cache._sidecar_path("b" * 64), (before - 100, before - 100))
+        os.utime(cache.disk.sidecar_path("b" * 64), (before - 100, before - 100))
         assert cache.load("b" * 64, result.system) is not None
-        assert cache._sidecar_path("b" * 64).stat().st_mtime > before - 100
+        assert cache.disk.sidecar_path("b" * 64).stat().st_mtime > before - 100
 
     def test_usage_reports_entries_and_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)

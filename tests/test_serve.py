@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import ExperimentReport, run_experiment
 from repro.serve import (
     DEFAULT_RETAINED_JOBS,
@@ -135,9 +135,25 @@ class TestServiceDirect:
         counts = service.job_counts()
         assert counts[DONE] == 1 and counts[FAILED] == 1
 
-    def test_needs_a_job_thread(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentService(job_threads=0)
+    @pytest.mark.parametrize(
+        "settings, env, message",
+        [
+            ({"job_threads": 0}, {}, "job thread"),
+            ({"backend": "bogus"}, {}, "--backend"),
+            ({"workers": 0}, {}, "--workers"),
+            ({"backend": "numpy"}, {"REPRO_NUMPY_MEMO_MAX": "0"}, "REPRO_NUMPY_MEMO_MAX"),
+        ],
+        ids=["job-threads", "backend", "workers", "numpy-memo-max"],
+    )
+    def test_construction_rejects_bad_settings(self, monkeypatch, settings, env, message):
+        """A bad setting stops the service at startup instead of failing
+        every job it accepts."""
+        if settings.get("backend") == "numpy":
+            pytest.importorskip("numpy")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(ReproError, match=message):
+            ExperimentService(**settings)
 
 
 class TestLifecycleLocking:

@@ -1,4 +1,8 @@
-"""TraceCache bounds: LRU size cap, stale-version pruning, concurrency."""
+"""TraceCache bounds: LRU size cap, stale-version pruning, concurrency.
+
+The concurrency cases exercise the entry store's upkeep through both of
+its caches, the trace cache and the result cache.
+"""
 
 import os
 import time
@@ -7,6 +11,8 @@ import pytest
 
 from repro.config import scaled_system
 from repro.errors import ConfigurationError
+from repro.results import ResultCache
+from repro.sim.engine import CoreResult, SimulationResult
 from repro.workloads.generator import generate_traces
 from repro.workloads.suite import scaled_workload, workload_by_name
 from repro.workloads.trace_cache import (
@@ -26,18 +32,37 @@ def make_trace(seed: int, blocks: int = 300):
     return key, trace
 
 
+def make_entry(cache_class, seed):
+    """A (key, value) pair that ``cache_class`` stores."""
+    if cache_class is TraceCache:
+        return make_trace(seed)
+    cores = [CoreResult(core_id=0, accesses=seed + 1)]
+    return f"{seed:064x}", SimulationResult("none", SYSTEM, cores)
+
+
+def load_entry(cache, key):
+    if isinstance(cache, TraceCache):
+        return cache.load(key)
+    return cache.load(key, SYSTEM)
+
+
+#: A file name each cache wrote under an older format version.
+STALE_NAME = {TraceCache: "v2-{}.pkl", ResultCache: "r0-{}.json"}
+
+
 def entry_sidecars(path):
     return sorted(path.glob(f"v{CACHE_FORMAT_VERSION}-*.json"))
 
 
 def entry_size(cache, key):
     return (
-        cache._sidecar_path(key).stat().st_size + cache._column_path(key).stat().st_size
+        cache.disk.sidecar_path(key).stat().st_size
+        + cache.disk.column_path(key).stat().st_size
     )
 
 
 def touch_entry(cache, key, timestamp):
-    for path in (cache._sidecar_path(key), cache._column_path(key)):
+    for path in (cache.disk.sidecar_path(key), cache.disk.column_path(key)):
         os.utime(path, (timestamp, timestamp))
 
 
@@ -47,7 +72,7 @@ class TestSizeCap:
         probe = TraceCache(tmp_path, max_bytes=0)
         probe.store(key0, trace)
         size = entry_size(probe, key0)
-        probe._remove_entry(key0)
+        probe.disk.remove(key0)
         # Room for two entries; capping after four stores must keep only
         # the two newest (distinct mtimes make LRU order deterministic on
         # coarse filesystem timestamps).
@@ -59,8 +84,7 @@ class TestSizeCap:
             probe.store(key, trace)
             touch_entry(probe, key, base + seed)
         cache = TraceCache(tmp_path, max_bytes=int(size * 2.5))
-        cache._enforce_cap()
-        assert cache.evicted == 2
+        assert cache.disk.enforce_cap() == 2
         assert cache.load(keys[0]) is None
         assert cache.load(keys[1]) is None
         assert cache.load(keys[2]) is not None
@@ -81,6 +105,7 @@ class TestSizeCap:
         assert cache.load(key0) is not None
         key2, trace2 = make_trace(2)
         cache.store(key2, trace2)
+        assert cache.evicted == 1
         assert cache.load(key0) is not None
         assert cache.load(key1) is None
 
@@ -147,8 +172,8 @@ class TestVersionPruning:
         assert not v2_entry.exists(), "v2 entries must be pruned on open"
         assert cache.load(key) is None  # pruned, so a miss: regenerate
         cache.store(key, trace)
-        assert cache._sidecar_path(key).exists()
-        assert cache._column_path(key).exists()
+        assert cache.disk.sidecar_path(key).exists()
+        assert cache.disk.column_path(key).exists()
         assert cache.load(key) == trace
 
     def test_current_version_entries_survive_reopen(self, tmp_path):
@@ -156,34 +181,36 @@ class TestVersionPruning:
         key, trace = make_trace(0)
         cache.store(key, trace)
         reopened = TraceCache(tmp_path)
-        assert reopened.load(key) is not None
+        assert reopened.load(key) == trace
 
 
+@pytest.mark.parametrize("cache_class", [TraceCache, ResultCache], ids=["trace", "result"])
 class TestConcurrentWorkers:
     """Maintenance must tolerate sibling workers racing on the same dir."""
 
-    def test_enforce_cap_tolerates_already_deleted_entries(self, tmp_path, monkeypatch):
-        writer = TraceCache(tmp_path, max_bytes=0)
+    def test_enforce_cap_tolerates_already_deleted_entries(
+        self, tmp_path, monkeypatch, cache_class
+    ):
+        writer = cache_class(tmp_path, max_bytes=0)
         for seed in range(2):
-            key, trace = make_trace(seed)
-            writer.store(key, trace)
-        capped = TraceCache(tmp_path, max_bytes=1)  # everything is over cap
-        stale_listing = capped._entries_by_age()
+            writer.store(*make_entry(cache_class, seed))
+        capped = cache_class(tmp_path, max_bytes=1)  # everything is over cap
+        stale_listing = capped.disk.entries_by_age()
         assert len(stale_listing) == 2
         # A sibling worker deletes the oldest entry between our listing and
         # our unlink: pin the stale listing and remove the files behind it.
-        writer._remove_entry(stale_listing[0][2])
-        monkeypatch.setattr(TraceCache, "_entries_by_age", lambda self: stale_listing)
-        capped._enforce_cap()  # must not raise on the vanished entry
+        writer.disk.remove(stale_listing[0][2])
+        monkeypatch.setattr(capped.disk, "entries_by_age", lambda: stale_listing)
+        evicted = capped.disk.enforce_cap()  # must not raise on the vanished entry
         monkeypatch.undo()
-        assert capped._entries_by_age() == []
-        assert capped.evicted == 1  # only the entry *we* removed counts
+        assert capped.disk.entries_by_age() == []
+        assert evicted == 1  # only the entry *we* removed counts
 
-    def test_prune_tolerates_vanishing_files(self, tmp_path, monkeypatch):
+    def test_prune_tolerates_vanishing_files(self, tmp_path, monkeypatch, cache_class):
         from pathlib import Path
 
         digest = "cafebabe" * 8
-        stale = tmp_path / f"v2-{digest}.pkl"
+        stale = tmp_path / STALE_NAME[cache_class].format(digest)
         stale.write_bytes(b"stale")
         original_unlink = Path.unlink
         raced = []
@@ -196,40 +223,39 @@ class TestConcurrentWorkers:
             return original_unlink(self)  # ... and ours raises
 
         monkeypatch.setattr(Path, "unlink", racing_unlink)
-        TraceCache(tmp_path)  # must not raise
+        cache_class(tmp_path)  # must not raise
         monkeypatch.undo()
         assert raced == [stale], "the race must actually have been exercised"
         assert not stale.exists()
 
-    def test_sidecar_without_column_is_a_miss(self, tmp_path):
+    def test_sidecar_without_column_is_a_miss(self, tmp_path, cache_class):
         """Half-deleted entries (eviction removes the sidecar first, but a
         crash can leave either half) fall back to regeneration."""
-        cache = TraceCache(tmp_path)
-        key, trace = make_trace(0)
-        cache.store(key, trace)
-        cache._column_path(key).unlink()
-        assert cache.load(key) is None
-        cache.store(key, trace)
-        cache._sidecar_path(key).unlink()
-        assert cache.load(key) is None
+        cache = cache_class(tmp_path)
+        key, value = make_entry(cache_class, 0)
+        cache.store(key, value)
+        cache.disk.column_path(key).unlink()
+        assert load_entry(cache, key) is None
+        cache.store(key, value)
+        cache.disk.sidecar_path(key).unlink()
+        assert load_entry(cache, key) is None
 
-    def test_orphaned_column_files_count_against_the_cap(self, tmp_path):
+    def test_orphaned_column_files_count_against_the_cap(self, tmp_path, cache_class):
         """A crash between the column and sidecar publishes must not leak
         invisible bytes forever: orphans are listed, capped and removed."""
-        writer = TraceCache(tmp_path, max_bytes=0)
-        key, trace = make_trace(0)
-        writer.store(key, trace)
-        writer._sidecar_path(key).unlink()  # simulate the half-published state
-        orphan = writer._column_path(key)
+        writer = cache_class(tmp_path, max_bytes=0)
+        key, value = make_entry(cache_class, 0)
+        writer.store(key, value)
+        writer.disk.sidecar_path(key).unlink()  # simulate the half-published state
+        orphan = writer.disk.column_path(key)
         assert orphan.exists()
-        entries = writer._entries_by_age()
+        entries = writer.disk.entries_by_age()
         assert [entry[2] for entry in entries] == [key], "orphan must be listed"
-        capped = TraceCache(tmp_path, max_bytes=1)
-        capped._enforce_cap()
+        capped = cache_class(tmp_path, max_bytes=1)
+        capped.disk.enforce_cap()
         assert not orphan.exists(), "orphan bytes must be reclaimable"
 
-    def test_store_leaves_no_temp_files(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        key, trace = make_trace(0)
-        cache.store(key, trace)
+    def test_store_leaves_no_temp_files(self, tmp_path, cache_class):
+        cache = cache_class(tmp_path)
+        cache.store(*make_entry(cache_class, 0))
         assert not list(tmp_path.glob("*.tmp"))

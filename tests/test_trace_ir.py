@@ -183,8 +183,8 @@ class TestPersistenceRoundTrip:
         cache = TraceCache(tmp_path)
         key, trace_set = small_trace_set()
         cache.store(key, trace_set)
-        column = cache._column_path(key)
-        sidecar = cache._sidecar_path(key)
+        column = cache.disk.column_path(key)
+        sidecar = cache.disk.sidecar_path(key)
         if corruption == "truncate_column":
             column.write_bytes(column.read_bytes()[:-16])
         elif corruption == "bad_magic":
